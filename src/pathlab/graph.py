@@ -2,7 +2,9 @@
 
 Entry (i, j) is the weight of the directed edge i -> j: zero on the diagonal,
 strictly positive for a real edge, INFINITY where no edge exists. Vertex ids
-are 1-based everywhere in the public API.
+are 1-based everywhere in the public API. Out-adjacency lists, which the
+labeling engine and :meth:`Graph.edges` walk, are derived from the matrix on
+first use.
 
 File formats
 ------------
@@ -18,6 +20,7 @@ off-diagonal pairs get INFINITY.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -55,13 +58,26 @@ class Graph:
         check_vertex(self, v)
         return self.weights[u - 1][v - 1]
 
+    @cached_property
+    def adjacency(self) -> tuple[tuple[tuple[int, Weight], ...], ...]:
+        """Out-edges of vertex u at index u - 1, as (v, weight) by ascending v.
+
+        Built from the matrix on first use and kept on the instance.
+        """
+        return tuple(
+            tuple(
+                (j + 1, w)
+                for j, w in enumerate(row)
+                if w is not INFINITY and j != i and w.is_finite
+            )
+            for i, row in enumerate(self.weights)
+        )
+
     def edges(self) -> Iterator[tuple[int, int, Weight]]:
         """Finite off-diagonal entries as (u, v, weight), row-major."""
-        for u in self.vertices():
-            row = self.weights[u - 1]
-            for v in self.vertices():
-                if u != v and row[v - 1].is_finite:
-                    yield u, v, row[v - 1]
+        for u, out in enumerate(self.adjacency, start=1):
+            for v, w in out:
+                yield u, v, w
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int, object]]) -> "Graph":
@@ -179,10 +195,9 @@ def parse_edge_list(text: str) -> Graph:
     if len(body) != m:
         raise MalformedInput(f"expected {m} edge lines, found {len(body)}")
 
-    rows = [
-        [Weight.zero() if i == j else INFINITY for j in range(n)]
-        for i in range(n)
-    ]
+    rows = [[INFINITY] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = Weight.zero()
     seen: set[tuple[int, int]] = set()
     for line in body:
         parts = line.split()
@@ -206,7 +221,9 @@ def parse_edge_list(text: str) -> Graph:
             raise NegativeOrZeroWeight(f"edge ({u},{v}) has non-positive weight {w}")
         seen.add((u, v))
         rows[u - 1][v - 1] = w
-    return _raise_first_violation(Graph(n, tuple(tuple(row) for row in rows)))
+    # Every edge was checked above and the diagonal is zero by construction,
+    # so the graph needs no further validation pass.
+    return Graph(n, tuple(tuple(row) for row in rows))
 
 
 def to_matrix_text(g: Graph) -> str:

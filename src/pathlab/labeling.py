@@ -12,14 +12,32 @@ permanent. The three selection strategies differ only in the batch:
   settle labels that are not yet optimal, so callers must oracle-check it
   (see the counterexample fixture).
 
-Rounds are recorded with full label snapshots so runs can be replayed,
-rendered, and regression-tested against golden traces.
+The run engine relaxes only the out-edges of the frontier (``Graph.adjacency``)
+and selects from a lazy-deletion heap keyed ``(exact value, vertex id)``: the
+heap top is the lowest id at the minimum, a tie batch is the run of entries
+sharing the top value (a Dial bucket), and entries left behind by a later
+improvement or a settle are skipped when they surface. STABLE_BATCH also keeps
+the set of finite temporary labels.
+
+Every round is recorded with a label snapshot so runs can be replayed,
+rendered, and regression-tested against golden traces. Predecessor sets are
+immutable ``frozenset``s that a change replaces rather than mutates, so a
+snapshot is four list copies that share the sets and weights with the live
+state. A run costs O(m log m) for relaxation and selection, plus O(n) list
+copying per round for the snapshots.
+
+:func:`relax_step` and :func:`select_permanent` perform one relax and one
+select move over a whole ``LabelState``; they are the straightforward
+reference the engine is tested against.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
+from fractions import Fraction
+from heapq import heappop, heappush
 
 from .errors import FrontierNotPermanent, VertexOutOfRange
 from .graph import Graph, check_vertex
@@ -46,16 +64,18 @@ class LabelState:
     """Per-vertex label value, predecessor set, status, and settling round.
 
     Predecessors hold *all* minimizers seen so far: a strict improvement
-    replaces the set, an equal-value alternative extends it. Confined to a
-    single run; use :meth:`copy` for snapshots.
+    replaces the set, an equal-value alternative extends it. Sets are never
+    mutated in place, only replaced, so :meth:`copy` is four list copies whose
+    snapshots share the sets. Confined to a single run; use :meth:`copy` for
+    snapshots.
     """
 
-    __slots__ = ("_values", "_preds", "_status", "_settled")
+    __slots__ = ("_values", "_preds", "_status", "_settled", "_last_round")
 
     def __init__(
         self,
         values: list[Weight],
-        preds: list[set[int]],
+        preds: list[frozenset[int]],
         status: list[Status],
         settled: list[int | None],
     ):
@@ -63,11 +83,14 @@ class LabelState:
         self._preds = preds
         self._status = status
         self._settled = settled
+        # Highest settling round so far (-1 before the source is settled);
+        # derived from ``settled``, so it takes no part in equality.
+        self._last_round = max((r for r in settled if r is not None), default=-1)
 
     @classmethod
     def initial(cls, n: int, source: int) -> "LabelState":
         values = [INFINITY] * n
-        preds: list[set[int]] = [set() for _ in range(n)]
+        preds = [frozenset()] * n
         status = [Status.TEMPORARY] * n
         settled: list[int | None] = [None] * n
         values[source - 1] = Weight.zero()
@@ -107,34 +130,34 @@ class LabelState:
         return tuple(self._values)
 
     def copy(self) -> "LabelState":
-        return LabelState(
-            list(self._values),
-            [set(p) for p in self._preds],
-            list(self._status),
-            list(self._settled),
-        )
+        # Skips __init__, whose O(n) scan for the last round is already known.
+        new = LabelState.__new__(LabelState)
+        new._values = list(self._values)
+        new._preds = list(self._preds)
+        new._status = list(self._status)
+        new._settled = list(self._settled)
+        new._last_round = self._last_round
+        return new
 
-    def improve(self, v: int, value: Weight, preds: set[int]) -> None:
+    def improve(self, v: int, value: Weight, preds: AbstractSet[int]) -> None:
         """Strict improvement: new value, predecessor set replaced."""
         if self.is_permanent(v):
             raise ValueError(f"vertex {v} is already permanent")
         self._values[v - 1] = value
-        self._preds[v - 1] = set(preds)
+        self._preds[v - 1] = frozenset(preds)
 
-    def add_predecessors(self, v: int, preds: set[int]) -> None:
+    def add_predecessors(self, v: int, preds: AbstractSet[int]) -> None:
         """Equal-value alternatives: extend the predecessor set only."""
         if self.is_permanent(v):
             raise ValueError(f"vertex {v} is already permanent")
-        self._preds[v - 1].update(preds)
+        self._preds[v - 1] = frozenset(self._preds[v - 1]).union(preds)
 
     def settle(self, v: int, round_index: int) -> None:
         if self.is_permanent(v):
             raise ValueError(f"vertex {v} is already permanent")
         self._status[v - 1] = Status.PERMANENT
         self._settled[v - 1] = round_index
-
-    def _max_settled_round(self) -> int:
-        return max((r for r in self._settled if r is not None), default=-1)
+        self._last_round = max(self._last_round, round_index)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabelState):
@@ -264,7 +287,7 @@ def select_permanent(
         chosen = at_minimum | {v for _, v in finite if v not in changed}
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown strategy {strategy!r}")
-    round_index = labels._max_settled_round() + 1
+    round_index = labels._last_round + 1
     for v in sorted(chosen):
         labels.settle(v, round_index)
     return frozenset(chosen)
@@ -305,27 +328,54 @@ def _run(
     if target is not None:
         check_vertex(g, target)
     labels = init_labels(g, source)
+    # The engine writes the live state's lists directly; the round API
+    # functions above do the same moves one LabelState method at a time.
+    values, preds, status = labels._values, labels._preds, labels._status
+    adjacency = g.adjacency
+    # The Fraction inside each finite label (None for INFINITY): heap keys and
+    # the operands of relaxation.
+    exact: list[Fraction | None] = [None] * g.n
+    exact[source - 1] = Fraction(0)
+    heap: list[tuple[Fraction, int]] = []
+    finite_temporary: set[int] = set()
+    unsettled = g.n - 1
     rounds: list[RoundRecord] = []
     frontier: frozenset[int] = frozenset({source})
     terminated_early = False
-    while True:
-        if labels.all_permanent():
-            break
+    while unsettled:
         if stop_at_target and target is not None and labels.is_permanent(target):
             terminated_early = True
             break
-        labels, changed = relax_step(g, labels, frontier)
-        newly = select_permanent(labels, strategy, changed)
+        changed = set()
+        for u in frontier:
+            base = exact[u - 1]
+            for v, w in adjacency[u - 1]:
+                if status[v - 1] is Status.PERMANENT:
+                    continue
+                candidate = base + w.fraction
+                old = exact[v - 1]
+                if old is None or candidate < old:
+                    if old is None:
+                        finite_temporary.add(v)
+                    exact[v - 1] = candidate
+                    values[v - 1] = Weight(candidate)
+                    preds[v - 1] = frozenset((u,))
+                    heappush(heap, (candidate, v))
+                    changed.add(v)
+                elif candidate == old:
+                    preds[v - 1] = preds[v - 1] | {u}
+        newly = _pop_minimum(heap, exact, status, strategy is not Strategy.SINGLE_MIN)
         if not newly:
             break
-        rounds.append(
-            RoundRecord(
-                round_index=len(rounds) + 1,
-                frontier=frontier,
-                label_snapshot=labels.copy(),
-                newly_permanent=newly,
-            )
-        )
+        if strategy is Strategy.STABLE_BATCH:
+            newly |= finite_temporary - changed
+        round_index = len(rounds) + 1
+        for v in newly:
+            labels.settle(v, round_index)
+        finite_temporary -= newly
+        unsettled -= len(newly)
+        newly = frozenset(newly)
+        rounds.append(RoundRecord(round_index, frontier, labels.copy(), newly))
         frontier = newly
     return RunTrace(
         algorithm=algorithm,
@@ -339,3 +389,27 @@ def _run(
         rounds_count_incl_source=len(rounds) + 1,
         terminated_early=terminated_early,
     )
+
+
+def _pop_minimum(
+    heap: list[tuple[Fraction, int]],
+    exact: list[Fraction | None],
+    status: list[Status],
+    whole_tie_class: bool,
+) -> set[int]:
+    """Pop the lowest-id temporary vertex at the minimum, or all tied with it.
+
+    An entry is current when its vertex is temporary and still holds the
+    entry's value; any other entry was left behind and is dropped. Empty when
+    no temporary label is finite.
+    """
+    minimum = None
+    chosen: set[int] = set()
+    while heap and (minimum is None or heap[0][0] == minimum):
+        value, v = heappop(heap)
+        if status[v - 1] is Status.TEMPORARY and exact[v - 1] == value:
+            chosen.add(v)
+            minimum = value
+            if not whole_tie_class:
+                break
+    return chosen

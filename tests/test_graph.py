@@ -120,6 +120,15 @@ class TestParseEdgeList:
         with pytest.raises(MalformedInput):
             parse_edge_list("2 1\n1 2 INF\n")
 
+    @given(graphs())
+    def test_parsed_edge_lists_validate_ok(self, g):
+        # the parser checks each edge line itself and runs no validate() pass
+        edges = list(g.edges())
+        text = f"{g.n} {len(edges)}\n" + "".join(f"{u} {v} {w}\n" for u, v, w in edges)
+        parsed = parse_edge_list(text)
+        assert parsed == g
+        assert validate(parsed) == []
+
 
 class TestValidate:
     def test_fixture_is_ok(self, paper8):
@@ -181,3 +190,20 @@ def test_weight_accessor_checks_range(paper8):
         paper8.weight(0, 1)
     with pytest.raises(VertexOutOfRange):
         paper8.weight(1, 9)
+
+
+@given(graphs())
+def test_adjacency_lists_the_finite_off_diagonal_entries(g):
+    expected = [
+        [(v, w) for v, w in enumerate(row, start=1) if u != v and w.is_finite]
+        for u, row in enumerate(g.weights, start=1)
+    ]
+    assert [list(out) for out in g.adjacency] == expected
+    assert list(g.edges()) == [(u, v, w) for u in g.vertices() for v, w in expected[u - 1]]
+    assert g.adjacency is g.adjacency
+
+
+def test_adjacency_skips_every_infinity_instance():
+    # a sentinel built separately from INFINITY is still no edge
+    g = Graph(2, ((Weight.zero(), Weight(None)), (Weight.finite(3), Weight.zero())))
+    assert g.adjacency == ((), ((1, Weight.finite(3)),))

@@ -132,6 +132,18 @@ class TestSelectPermanent:
         labels = labels_with_temporaries(5, {3: 2, 5: 2, 4: 9})
         assert select_permanent(labels, Strategy.SINGLE_MIN, frozenset()) == {3}
 
+    def test_round_index_continues_from_a_rebuilt_state(self):
+        # a state built directly, as trace_from_json builds one, already has
+        # vertices settled in rounds 0..2
+        labels = LabelState(
+            [Weight.finite(v) for v in (0, 1, 2, 5)],
+            [set(), {1}, {2}, {3}],
+            [Status.PERMANENT] * 3 + [Status.TEMPORARY],
+            [0, 2, 1, None],
+        )
+        assert select_permanent(labels, Strategy.SINGLE_MIN, frozenset()) == {4}
+        assert labels.settled_round(4) == 3
+
 
 class TestRunClassic:
     def test_tora_golden_final_labels(self, paper8_tora):
@@ -234,6 +246,25 @@ class TestTraceInvariants:
         assert trace.rounds[0].frontier == {1}
         for previous, current in zip(trace.rounds, trace.rounds[1:]):
             assert current.frontier == previous.newly_permanent
+
+    def test_equal_value_extension_leaves_earlier_snapshots_alone(self, paper8):
+        # vertex 5 gets value 3 via 2 in round 2, and an equal-value path via
+        # 3 (settled in round 2) extends its predecessors in round 3
+        trace = run_classic(paper8, 1)
+        before, after = trace.rounds[1].label_snapshot, trace.rounds[2].label_snapshot
+        assert trace.rounds[2].frontier == {3}
+        assert before.predecessors(5) == {2}
+        assert after.predecessors(5) == {2, 3}
+        assert type(before.predecessors(5)) is frozenset
+        # a state holding plain sets, as trace_from_json builds, is equal
+        rebuilt = LabelState(
+            [before.value(v) for v in before.vertices()],
+            [set(before.predecessors(v)) for v in before.vertices()],
+            [before.status(v) for v in before.vertices()],
+            [before.settled_round(v) for v in before.vertices()],
+        )
+        assert rebuilt == before
+        assert type(rebuilt.predecessors(5)) is frozenset
 
     def test_rerun_is_identical(self, paper8_tora):
         first = run_classic(paper8_tora, 1)

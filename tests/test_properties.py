@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathlab import (
+    GraphSpec,
     Strategy,
     bellman_ford,
     build_tree_matrix,
     extract_path,
+    generate_graph,
     init_labels,
     relax_step,
     run_classic,
@@ -141,3 +143,51 @@ def test_select_permanent_settles_a_minimum_vertex(g):
         assert state.value(v) == min(finite)
     else:
         assert settled == frozenset()
+
+
+def replay_rounds(g, source, target, stop_at_target, strategy):
+    """A run driven through the round API: (frontier, snapshot, newly) per
+    round, the final labels, and whether it stopped at the target."""
+    labels = init_labels(g, source)
+    frontier = frozenset({source})
+    rounds = []
+    while not labels.all_permanent():
+        if stop_at_target and target is not None and labels.is_permanent(target):
+            return rounds, labels, True
+        # relax_step returns a fresh state, so each recorded one stays as is
+        labels, changed = relax_step(g, labels, frontier)
+        newly = select_permanent(labels, strategy, changed)
+        if not newly:
+            break
+        rounds.append((frontier, labels, newly))
+        frontier = newly
+    return rounds, labels, False
+
+
+@given(graphs(max_n=8), st.data())
+@settings(max_examples=150)
+def test_runs_equal_a_round_api_replay(g, data):
+    source = data.draw(st.integers(1, g.n))
+    target = data.draw(st.none() | st.integers(1, g.n))
+    stop_at_target = data.draw(st.booleans())
+    strategy = data.draw(st.sampled_from(Strategy))
+    if strategy is Strategy.SINGLE_MIN:
+        trace = run_classic(g, source, target, stop_at_target)
+    else:
+        trace = run_modified(g, source, target, stop_at_target, strategy)
+    rounds, labels, terminated_early = replay_rounds(
+        g, source, target, stop_at_target, strategy
+    )
+    assert [r.round_index for r in trace.rounds] == list(range(1, len(rounds) + 1))
+    assert [(r.frontier, r.label_snapshot, r.newly_permanent) for r in trace.rounds] == rounds
+    assert trace.final_labels == labels
+    assert trace.final_distances == labels.distances()
+    assert trace.terminated_early == terminated_early
+
+
+def test_sound_strategies_match_bellman_ford_on_a_sparse_300_vertex_graph():
+    g = generate_graph(GraphSpec(300, 5 / 300, 1, 9, 0.5, seed=300), 0)
+    oracle = bellman_ford(g, 1).distances
+    assert sum(w.is_finite for w in oracle) > 250
+    assert run_classic(g, 1).final_distances == oracle
+    assert run_modified(g, 1, strategy=Strategy.TIE_BATCH).final_distances == oracle
