@@ -10,17 +10,19 @@ File formats
 ------------
 Matrix: optional ``#`` comment lines, then the vertex count n, then n*n
 whitespace-separated tokens in row-major order. A token is a decimal literal
-or the literal ``INF`` (case-insensitive).
+or the literal ``INF`` (case-insensitive). A decimal literal is
+``[+-]?[0-9]+(\\.[0-9]+)?`` with at most ``MAX_TOKEN_DIGITS`` (30) digits;
+exponents, fraction bars, underscores and non-ASCII digits are malformed.
 
 Edge list: optional ``#`` comment lines, a header line ``n m``, then m lines
-``u v w`` with 1-based endpoints and a positive decimal weight. Unlisted
+``u v w`` with 1-based endpoints and a positive decimal literal weight. Unlisted
 off-diagonal pairs get INFINITY.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -160,18 +162,15 @@ def parse_matrix_text(text: str) -> Graph:
     entries = tokens[1:]
     if len(entries) != n * n:
         raise MalformedInput(f"expected {n * n} matrix entries, found {len(entries)}")
+    # Each distinct token is parsed once per call, and equal tokens share one
+    # Weight.
+    weight_of = cache(Weight.from_token)
     rows = []
     for i in range(n):
-        row = []
-        for j in range(n):
-            token = entries[i * n + j]
-            try:
-                row.append(Weight.from_token(token))
-            except ValueError:
-                raise MalformedInput(
-                    f"non-numeric token {token!r} at row {i + 1}, column {j + 1}"
-                ) from None
-        rows.append(tuple(row))
+        try:
+            rows.append(tuple(map(weight_of, entries[i * n : (i + 1) * n])))
+        except ValueError as exc:
+            raise MalformedInput(f"row {i + 1}: {exc}") from None
     return _raise_first_violation(Graph(n, tuple(rows)))
 
 
@@ -198,6 +197,7 @@ def parse_edge_list(text: str) -> Graph:
     rows = [[INFINITY] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = Weight.zero()
+    weight_of = cache(Weight.from_token)
     seen: set[tuple[int, int]] = set()
     for line in body:
         parts = line.split()
@@ -208,9 +208,11 @@ def parse_edge_list(text: str) -> Graph:
         except ValueError:
             raise MalformedInput(f"non-integer vertex in edge line {line!r}") from None
         try:
-            w = Weight.finite(parts[2])
-        except ValueError:
-            raise MalformedInput(f"non-numeric weight in edge line {line!r}") from None
+            w = weight_of(parts[2])
+        except ValueError as exc:
+            raise MalformedInput(f"edge line {line!r}: {exc}") from None
+        if w.is_infinite:
+            raise MalformedInput(f"edge line {line!r}: weight must be finite")
         if not (1 <= u <= n) or not (1 <= v <= n):
             raise VertexOutOfRange(f"edge ({u},{v}) outside 1..{n}")
         if u == v:
@@ -227,7 +229,11 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def to_matrix_text(g: Graph) -> str:
-    """Serialize in the matrix format; round-trips through parse_matrix_text."""
+    """Serialize in the matrix format.
+
+    Round-trips through parse_matrix_text when every weight is a decimal
+    literal of at most ``MAX_TOKEN_DIGITS`` digits, as in any parsed graph.
+    """
     lines = [str(g.n)]
     for i in g.vertices():
         lines.append(" ".join(str(w) for w in g.weights[i - 1]))

@@ -24,7 +24,11 @@ rendered, and regression-tested against golden traces. Predecessor sets are
 immutable ``frozenset``s that a change replaces rather than mutates, so a
 snapshot is four list copies that share the sets and weights with the live
 state. A run costs O(m log m) for relaxation and selection, plus O(n) list
-copying per round for the snapshots.
+copying per round for the snapshots. Because the snapshots share those
+objects, a vertex's row changes only when its label does: the renderers in
+:mod:`pathlab.render` format each distinct row once per call, so their
+formatting work follows the number of label changes, and only the per-cell
+lookups and the joins of the output stay O(n) per round.
 
 :func:`relax_step` and :func:`select_permanent` perform one relax and one
 select move over a whole ``LabelState``; they are the straightforward
@@ -128,6 +132,18 @@ class LabelState:
 
     def distances(self) -> tuple[Weight, ...]:
         return tuple(self._values)
+
+    def columns(
+        self,
+    ) -> tuple[
+        tuple[Weight, ...], tuple[frozenset[int], ...], tuple[Status, ...], tuple[int | None, ...]
+    ]:
+        """Values, predecessor sets, statuses and settled rounds, vertex v at v - 1.
+
+        The elements are the stored objects themselves, which snapshots share
+        with the state they were copied from.
+        """
+        return tuple(self._values), tuple(self._preds), tuple(self._status), tuple(self._settled)
 
     def copy(self) -> "LabelState":
         # Skips __init__, whose O(n) scan for the last round is already known.

@@ -3,17 +3,32 @@
 The per-round trace table prints one row per vertex as
 ``node | [value, predecessor] | status`` with values to two decimals, ``-``
 for the source predecessor, and blank label/status columns for vertices still
-at INFINITY. The structured rendering is JSON carrying every round-record
-field exactly (weights as exact strings), and round-trips via
-:func:`trace_from_json`.
+at INFINITY. The structured rendering is JSON in ``json.dumps(..., indent=2)``
+layout carrying every round-record field exactly (weights as exact strings),
+and round-trips via :func:`trace_from_json`.
+
+Cost model. A trace holds one label snapshot per round, and snapshots share
+their weights, predecessor sets and statuses with the run's live state, so a
+vertex's row differs from the previous round's only when its label changed.
+:func:`render_trace_text` and :func:`trace_to_json` keep a memo, for the
+length of one call, from each distinct row to its formatted text. Formatting
+work is therefore proportional to the number of distinct rows (about the
+number of label changes), and the remaining work is one dict lookup per cell
+plus joins proportional to the output bytes. :func:`trace_from_json` decodes
+with the C JSON parser and, within one call, parses each distinct weight
+string, status and vertex list once.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cache, partial
+from operator import itemgetter
+from typing import Callable
 
 from .bench import ComparisonRecord
+from .errors import MalformedInput
 from .labeling import (
     Algorithm,
     LabelState,
@@ -34,39 +49,48 @@ def two_decimals(w: Weight) -> str:
     return f"{sign}{abs(scaled) // 100}.{abs(scaled) % 100:02d}"
 
 
-def display_predecessor(labels: LabelState, source: int, v: int) -> str:
-    if v == source:
-        return "-"
-    preds = labels.predecessors(v)
-    return str(min(preds)) if preds else "-"
+def _formatted_rows(labels: LabelState, memo: dict, fmt: Callable[..., str]) -> list[str]:
+    """``fmt(v, value, predecessors, status, settled_round)`` for every vertex
+    v of ``labels``, formatted once per distinct row.
+
+    ``memo`` belongs to one call. Rows are keyed by the identity of their
+    weight, predecessor set and status: snapshots share those objects with
+    the live state, and the trace keeps every one of them alive for the
+    whole call, so an identity names one content. Equal contents held in
+    distinct objects only cost an extra format.
+    """
+    values, preds, status, settled = labels.columns()
+    keys = list(zip(labels.vertices(), map(id, values), map(id, preds), map(id, status), settled))
+    out = list(map(memo.get, keys))
+    for i in [i for i, text in enumerate(out) if text is None]:
+        out[i] = memo[keys[i]] = fmt(i + 1, values[i], preds[i], status[i], settled[i])
+    return out
 
 
 def _vertex_set(vertices: frozenset[int]) -> str:
     return "{" + ",".join(str(v) for v in sorted(vertices)) + "}"
 
 
-def _label_rows(labels: LabelState, source: int) -> list[str]:
-    rows = ["node | label | status"]
-    for v in labels.vertices():
-        value = labels.value(v)
-        if value.is_infinite:
-            rows.append(f"{v:4d} |")
-        else:
-            label = f"[{two_decimals(value)}, {display_predecessor(labels, source, v)}]"
-            rows.append(f"{v:4d} | {label} | {labels.status(v).value}")
-    return rows
+def _text_row(source: int, v: int, value: Weight, preds, status: Status, _settled) -> str:
+    if value.is_infinite:
+        return f"{v:4d} |"
+    predecessor = "-" if v == source or not preds else str(min(preds))
+    return f"{v:4d} | [{two_decimals(value)}, {predecessor}] | {status.value}"
 
 
 def render_trace_text(trace: RunTrace) -> str:
     """One block per round, mimicking iteration tables of labeling tools."""
+    memo: dict = {}
+    text_row = partial(_text_row, trace.source)
     blocks = []
     for record in trace.rounds:
         lines = [
             f"Round {record.round_index}"
             f"  frontier={_vertex_set(record.frontier)}"
-            f"  newly permanent={_vertex_set(record.newly_permanent)}"
+            f"  newly permanent={_vertex_set(record.newly_permanent)}",
+            "node | label | status",
         ]
-        lines.extend(_label_rows(record.label_snapshot, trace.source))
+        lines += _formatted_rows(record.label_snapshot, memo, text_row)
         blocks.append("\n".join(lines))
     summary = (
         f"rounds: {trace.rounds_count}"
@@ -75,84 +99,167 @@ def render_trace_text(trace: RunTrace) -> str:
     return "\n\n".join(blocks + [summary]) + "\n"
 
 
-def _labels_to_list(labels: LabelState) -> list[dict]:
-    return [
-        {
-            "vertex": v,
-            "value": str(labels.value(v)),
-            "predecessors": sorted(labels.predecessors(v)),
-            "status": labels.status(v).value,
-            "settled_round": labels.settled_round(v),
-        }
-        for v in labels.vertices()
-    ]
+def _json_array(items: list[str], depth: int) -> str:
+    """A JSON array, in indent-2 layout, for a value nested ``depth`` levels
+    deep. Each item is already encoded and indented to ``depth + 1``."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + "  " * depth + "]"
 
 
-def _labels_from_list(items: list[dict]) -> LabelState:
-    n = len(items)
-    values = [Weight.from_token(item["value"]) for item in items]
-    preds = [set(item["predecessors"]) for item in items]
-    status = [Status(item["status"]) for item in items]
-    settled = [item["settled_round"] for item in items]
-    state = LabelState(values, preds, status, settled)
-    assert state.n == n
-    return state
+def _json_ints(values: frozenset[int], depth: int) -> str:
+    pad = "  " * (depth + 1)
+    return _json_array([f"{pad}{v}" for v in sorted(values)], depth)
 
 
-def trace_to_dict(trace: RunTrace) -> dict:
-    return {
-        "algorithm": trace.algorithm.value,
-        "strategy": trace.strategy.value,
-        "source": trace.source,
-        "target": trace.target,
-        "rounds": [
-            {
-                "round_index": record.round_index,
-                "frontier": sorted(record.frontier),
-                "newly_permanent": sorted(record.newly_permanent),
-                "labels": _labels_to_list(record.label_snapshot),
-            }
-            for record in trace.rounds
-        ],
-        "final_labels": _labels_to_list(trace.final_labels),
-        "final_distances": [str(w) for w in trace.final_distances],
-        "rounds_count": trace.rounds_count,
-        "rounds_count_incl_source": trace.rounds_count_incl_source,
-        "terminated_early": trace.terminated_early,
-    }
-
-
-def trace_from_dict(data: dict) -> RunTrace:
-    rounds = tuple(
-        RoundRecord(
-            round_index=item["round_index"],
-            frontier=frozenset(item["frontier"]),
-            label_snapshot=_labels_from_list(item["labels"]),
-            newly_permanent=frozenset(item["newly_permanent"]),
-        )
-        for item in data["rounds"]
-    )
-    final_labels = _labels_from_list(data["final_labels"])
-    return RunTrace(
-        algorithm=Algorithm(data["algorithm"]),
-        strategy=Strategy(data["strategy"]),
-        source=data["source"],
-        target=data["target"],
-        rounds=rounds,
-        final_labels=final_labels,
-        final_distances=tuple(Weight.from_token(t) for t in data["final_distances"]),
-        rounds_count=data["rounds_count"],
-        rounds_count_incl_source=data["rounds_count_incl_source"],
-        terminated_early=data["terminated_early"],
+def _json_row(depth: int, v: int, value: Weight, preds, status: Status, settled) -> str:
+    # What json.dumps(row, indent=2) writes for the row dict nested ``depth``
+    # levels deep. No string in a row needs escaping: str(Weight) and the
+    # status values are ASCII digits, letters and ".-/".
+    pad = "  " * depth
+    return (
+        f"{pad}{{\n"
+        f'{pad}  "vertex": {v},\n'
+        f'{pad}  "value": "{value}",\n'
+        f'{pad}  "predecessors": {_json_ints(preds, depth + 1)},\n'
+        f'{pad}  "status": "{status.value}",\n'
+        f'{pad}  "settled_round": {"null" if settled is None else settled}\n'
+        f"{pad}}}"
     )
 
 
 def trace_to_json(trace: RunTrace) -> str:
-    return json.dumps(trace_to_dict(trace), indent=2) + "\n"
+    """The trace as ``json.dumps(document, indent=2) + "\\n"``.
+
+    The document has the keys written below, in that order; each label row
+    is ``{"vertex", "value", "predecessors", "status", "settled_round"}``
+    with the value as ``str(Weight)`` and the predecessors sorted.
+    """
+    round_memo: dict = {}
+    round_row = partial(_json_row, 4)
+    rounds = [
+        "    {\n"
+        f'      "round_index": {json.dumps(record.round_index)},\n'
+        f'      "frontier": {_json_ints(record.frontier, 3)},\n'
+        f'      "newly_permanent": {_json_ints(record.newly_permanent, 3)},\n'
+        '      "labels": '
+        + _json_array(_formatted_rows(record.label_snapshot, round_memo, round_row), 3)
+        + "\n    }"
+        for record in trace.rounds
+    ]
+    final_labels = _formatted_rows(trace.final_labels, {}, partial(_json_row, 2))
+    final_distances = [f"    {json.dumps(str(w))}" for w in trace.final_distances]
+    return (
+        "{\n"
+        f'  "algorithm": {json.dumps(trace.algorithm.value)},\n'
+        f'  "strategy": {json.dumps(trace.strategy.value)},\n'
+        f'  "source": {json.dumps(trace.source)},\n'
+        f'  "target": {json.dumps(trace.target)},\n'
+        f'  "rounds": {_json_array(rounds, 1)},\n'
+        f'  "final_labels": {_json_array(final_labels, 1)},\n'
+        f'  "final_distances": {_json_array(final_distances, 1)},\n'
+        f'  "rounds_count": {json.dumps(trace.rounds_count)},\n'
+        f'  "rounds_count_incl_source": {json.dumps(trace.rounds_count_incl_source)},\n'
+        f'  "terminated_early": {json.dumps(trace.terminated_early)}\n'
+        "}\n"
+    )
+
+
+_ROW_FIELDS = itemgetter("vertex", "value", "predecessors", "status", "settled_round")
+
+
+def _typed(value, kind: type):
+    """``value`` if its type is exactly ``kind`` (so a bool is no int)."""
+    if type(value) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def _vertex(n: int, value) -> int:
+    if not 1 <= _typed(value, int) <= n:
+        raise ValueError(f"vertex {value} outside 1..{n}")
+    return value
+
+
+def _vertices(n: int, values: tuple) -> frozenset[int]:
+    return frozenset(_vertex(n, v) for v in values)
+
+
+class _TraceLoader:
+    """Builds one RunTrace from decoded JSON. Each distinct weight string,
+    status and vertex list is parsed once per load, and equal ones share
+    one object, as they do in a trace the engine recorded."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.weight = cache(Weight.from_str)
+        self.status = cache(Status)
+        self.vertex_set = cache(partial(_vertices, n))
+        self.vertex_ids = tuple(range(1, n + 1))
+
+    def vertices(self, items: list) -> frozenset[int]:
+        return self.vertex_set(tuple(_typed(items, list)))
+
+    def labels(self, items: list) -> LabelState:
+        if len(_typed(items, list)) != self.n:
+            raise ValueError(f"a label list has {len(items)} rows, expected {self.n}")
+        vertex, value, preds, status, settled = zip(*map(_ROW_FIELDS, items))
+        if vertex != self.vertex_ids:
+            raise ValueError("label rows must list vertices 1..n in order")
+        if not {type(p) for p in preds} <= {list}:
+            raise TypeError("predecessors must be lists")
+        if not {type(r) for r in settled} <= {int, type(None)}:
+            raise TypeError("settled_round must be an integer or null")
+        return LabelState(
+            list(map(self.weight, value)),
+            list(map(self.vertex_set, map(tuple, preds))),
+            list(map(self.status, status)),
+            list(settled),
+        )
+
+    def round(self, item: dict) -> RoundRecord:
+        return RoundRecord(
+            round_index=_typed(item["round_index"], int),
+            frontier=self.vertices(item["frontier"]),
+            label_snapshot=self.labels(item["labels"]),
+            newly_permanent=self.vertices(item["newly_permanent"]),
+        )
 
 
 def trace_from_json(text: str) -> RunTrace:
-    return trace_from_dict(json.loads(text))
+    """Inverse of :func:`trace_to_json`.
+
+    Raises MalformedInput when ``text`` is not JSON, lacks a key, holds a
+    value of the wrong type, an unknown algorithm, strategy or status, an
+    out-of-range vertex, or label lists whose lengths differ.
+    """
+    try:
+        data = json.loads(text)
+        final_items = data["final_labels"]
+        n = len(_typed(final_items, list))
+        if n < 1:
+            raise ValueError("final_labels is empty")
+        load = _TraceLoader(n)
+        target = data["target"]
+        final_distances = _typed(data["final_distances"], list)
+        if len(final_distances) != n:
+            raise ValueError(f"final_distances has {len(final_distances)} entries, expected {n}")
+        return RunTrace(
+            algorithm=Algorithm(data["algorithm"]),
+            strategy=Strategy(data["strategy"]),
+            source=_vertex(n, data["source"]),
+            target=None if target is None else _vertex(n, target),
+            rounds=tuple(map(load.round, _typed(data["rounds"], list))),
+            final_labels=load.labels(final_items),
+            final_distances=tuple(map(load.weight, final_distances)),
+            rounds_count=_typed(data["rounds_count"], int),
+            rounds_count_incl_source=_typed(data["rounds_count_incl_source"], int),
+            terminated_early=_typed(data["terminated_early"], bool),
+        )
+    except KeyError as exc:
+        raise MalformedInput(f"malformed trace: missing key {exc}") from None
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise MalformedInput(f"malformed trace: {exc}") from None
 
 
 def render_tree_matrix(t: TreeMatrix) -> str:

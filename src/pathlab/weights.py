@@ -8,8 +8,20 @@ it absorbs addition and sorts above every finite value.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from numbers import Rational
+
+# Most digits a weight token in a graph file may carry, integer and
+# fractional parts together. It bounds the exact values, and the work of
+# parsing and summing them, that a file can ask for.
+MAX_TOKEN_DIGITS = 30
+
+# The graph-file grammar: ASCII digits only, no exponent, no fraction bar.
+_DECIMAL_TOKEN = re.compile(r"[+-]?([0-9]+)(?:\.([0-9]+))?")
+# Everything ``str(Weight)`` writes for a finite weight: a decimal, or a/b for
+# a denominator with a prime factor other than 2 and 5.
+_EXACT_STR = re.compile(r"-?[0-9]+(?:\.[0-9]+|/0*[1-9][0-9]*)?")
 
 
 class Weight:
@@ -37,11 +49,31 @@ class Weight:
     def from_token(cls, token: str) -> "Weight":
         """Parse a matrix/edge-list token: a decimal literal or ``INF``.
 
-        Raises ValueError for anything else.
+        A decimal literal is ``[+-]?[0-9]+(\\.[0-9]+)?`` with at most
+        :data:`MAX_TOKEN_DIGITS` digits; ``INF`` is case-insensitive. Raises
+        ValueError for anything else.
         """
         if token.upper() == "INF":
             return INFINITY
+        match = _DECIMAL_TOKEN.fullmatch(token)
+        if match is None or len(match[1]) + len(match[2] or "") > MAX_TOKEN_DIGITS:
+            raise ValueError(
+                f"weight token {token!r} is not INF or a decimal literal"
+                f" of at most {MAX_TOKEN_DIGITS} digits"
+            )
         return cls(Fraction(token))
+
+    @classmethod
+    def from_str(cls, text: str) -> "Weight":
+        """Inverse of ``str``: ``INF``, a decimal literal, or ``a/b``.
+
+        Raises ValueError for anything else.
+        """
+        if text == "INF":
+            return INFINITY
+        if _EXACT_STR.fullmatch(text) is None:
+            raise ValueError(f"not a weight string: {text!r}")
+        return cls(Fraction(text))
 
     @property
     def is_infinite(self) -> bool:

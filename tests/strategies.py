@@ -19,7 +19,16 @@ def finite_weights(draw) -> Weight:
 
 
 @st.composite
-def graphs(draw, max_n: int = 6) -> Graph:
+def exact_weights(draw) -> Weight:
+    # Positive rationals, some of whose denominators (3, 7) have no decimal
+    # expansion, so str(Weight) writes them as a/b.
+    numerator = draw(st.integers(min_value=1, max_value=500))
+    denominator = draw(st.sampled_from([1, 3, 7, 10, 100]))
+    return Weight(Fraction(numerator, denominator))
+
+
+@st.composite
+def graphs(draw, max_n: int = 6, weights=finite_weights) -> Graph:
     n = draw(st.integers(min_value=1, max_value=max_n))
     rows = []
     for i in range(n):
@@ -28,7 +37,7 @@ def graphs(draw, max_n: int = 6) -> Graph:
             if i == j:
                 row.append(Weight.zero())
             elif draw(st.booleans()):
-                row.append(draw(finite_weights()))
+                row.append(draw(weights()))
             else:
                 row.append(INFINITY)
         rows.append(tuple(row))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -14,6 +15,12 @@ PAPER8 = str(fixture_path("paper8.mat"))
 TORA = str(fixture_path("paper8_tora.mat"))
 TIE4 = str(fixture_path("tie4.edges"))
 CX4 = str(fixture_path("counterexample4.edges"))
+
+# stdout of `pathlab trace fixtures/<fixture> --source 1 --algo <algo>
+# --format <format>`, one file per case, named trace_<fixture stem>_<algo> with
+# .txt for text and .json for structured output.
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_FIXTURES = ["paper8.mat", "paper8_tora.mat", "tie4.edges", "counterexample4.edges"]
 
 
 @pytest.fixture()
@@ -88,6 +95,19 @@ class TestTrace:
         assert result.exit_code == 1
         assert "error:" in result.stderr
 
+    @pytest.mark.parametrize("fixture", GOLDEN_FIXTURES)
+    @pytest.mark.parametrize("algo", ["classic", "tiebatch", "stablebatch"])
+    @pytest.mark.parametrize("format_", ["text", "structured"])
+    def test_output_matches_golden_bytes(self, runner, fixture, algo, format_):
+        result = runner.invoke(
+            main,
+            ["trace", str(fixture_path(fixture)), "--source", "1", "--algo", algo,
+             "--format", format_],
+        )
+        assert result.exit_code == 0
+        golden = GOLDEN / f"trace_{fixture.split('.')[0]}_{algo}.{'txt' if format_ == 'text' else 'json'}"
+        assert result.stdout_bytes == golden.read_bytes()
+
     def test_source_out_of_range_is_input_error(self, runner):
         result = runner.invoke(
             main, ["trace", PAPER8, "--source", "9", "--algo", "classic"]
@@ -151,6 +171,15 @@ class TestOracle:
         result = runner.invoke(main, ["oracle", CX4, "--source", "1"])
         assert result.exit_code == 0
         assert "   3 | 3" in result.stdout
+
+    def test_huge_exponent_weight_is_input_error(self, runner, tmp_path):
+        # parsed by Fraction, 1e5000 used to fail only when printed
+        graph = tmp_path / "g.edges"
+        graph.write_text("2 1\n1 2 1e5000\n")
+        result = runner.invoke(main, ["oracle", str(graph), "--source", "1"])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "error:" in result.stderr and "1e5000" in result.stderr
 
 
 class TestBench:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 
@@ -21,6 +23,26 @@ from pathlab import (
 
 from .conftest import fixture_path
 from .strategies import graphs
+
+
+# Tokens that Fraction accepts, or that are not numbers at all, but that the
+# file grammar [+-]?[0-9]+(\\.[0-9]+)? of at most 30 digits rejects.
+NON_DECIMAL_TOKENS = [
+    "1e5000",
+    "1E2",
+    "1/3",
+    "1_000",
+    "\u0661",  # ARABIC-INDIC DIGIT ONE
+    "\uff11",  # FULLWIDTH DIGIT ONE
+    ".5",
+    "1.",
+    "0x10",
+    "nan",
+    "+-1",
+    "1.2.3",
+    pytest.param("1" * 31, id="31_digits"),
+    pytest.param("0." + "1" * 30, id="31_digits_with_point"),
+]
 
 
 class TestParseMatrix:
@@ -71,6 +93,20 @@ class TestParseMatrix:
         g = parse_matrix_text("2\n0 2.5\nINF 0\n")
         assert g.weight(1, 2) == Weight.finite("2.5")
 
+    @pytest.mark.parametrize("token", NON_DECIMAL_TOKENS)
+    def test_only_bounded_decimal_literals(self, token):
+        with pytest.raises(MalformedInput, match="decimal literal"):
+            parse_matrix_text(f"2\n0 {token}\n1 0\n")
+
+    def test_longest_decimal_literals(self):
+        g = parse_matrix_text(f"2\n0 {'9' * 30}\n0.{'0' * 28}1 0\n")
+        assert g.weight(1, 2) == Weight.finite(10**30 - 1)
+        assert g.weight(2, 1) == Weight.finite(Fraction(1, 10**29))
+
+    def test_equal_tokens_share_one_weight(self):
+        g = parse_matrix_text("3\n0 2.5 2.5\n2.5 0 INF\nINF INF 0\n")
+        assert g.weight(1, 2) is g.weight(1, 3) is g.weight(2, 1)
+
 
 class TestParseEdgeList:
     def test_counterexample_fixture(self, counterexample4):
@@ -115,6 +151,16 @@ class TestParseEdgeList:
             parse_edge_list("2 1\n1 2 3\n2 1 4\n")
         with pytest.raises(MalformedInput):
             parse_edge_list("2 1\n1 2 x\n")
+
+    @pytest.mark.parametrize("token", NON_DECIMAL_TOKENS)
+    def test_only_bounded_decimal_literals(self, token):
+        with pytest.raises(MalformedInput, match="decimal literal"):
+            parse_edge_list(f"2 1\n1 2 {token}\n")
+
+    def test_signed_decimal_weights(self):
+        assert parse_edge_list("2 1\n1 2 +2.50\n").weight(1, 2) == Weight.finite("2.5")
+        with pytest.raises(NegativeOrZeroWeight):
+            parse_edge_list("2 1\n1 2 -0.5\n")
 
     def test_infinite_edge_weight_is_rejected(self):
         with pytest.raises(MalformedInput):

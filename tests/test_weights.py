@@ -73,6 +73,20 @@ def test_string_round_trip(num, den):
     assert Weight.from_token(str(w)) == w
 
 
+@given(st.fractions())
+def test_from_str_inverts_str(q):
+    w = Weight(q)
+    assert Weight.from_str(str(w)) == w
+
+
+def test_from_str_rejects_what_str_never_writes():
+    assert Weight.from_str("INF") is INFINITY
+    assert Weight.from_str("-7/3") == Weight(Fraction(-7, 3))
+    for text in ["inf", "1e5", "1/0", "1/-3", " 1", "1_0", "\u0661", "", "1.", "nan"]:
+        with pytest.raises(ValueError):
+            Weight.from_str(text)
+
+
 def test_infinity_has_no_fraction():
     with pytest.raises(ValueError):
         INFINITY.fraction
