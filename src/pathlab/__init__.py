@@ -32,14 +32,11 @@ from .errors import (
 )
 from .graph import (
     Graph,
-    Violation,
     parse_edge_list,
     parse_matrix_text,
     to_matrix_text,
-    validate,
 )
 from .labeling import (
-    Algorithm,
     LabelState,
     RoundRecord,
     RunTrace,
@@ -53,16 +50,14 @@ from .labeling import (
 )
 from .oracle import (
     MAX_ENUMERATION_VERTICES,
-    OracleMethod,
     OracleResult,
     bellman_ford,
     enumerate_min_path,
 )
 from .tree import Route, TreeMatrix, build_tree_matrix, extract_path
-from .weights import INFINITY, Weight, saturating_add
+from .weights import INFINITY, Weight
 
 __all__ = [
-    "Algorithm",
     "ComparisonRecord",
     "DiagonalNonZero",
     "DuplicateEdge",
@@ -75,7 +70,6 @@ __all__ = [
     "MAX_ENUMERATION_VERTICES",
     "MalformedInput",
     "NegativeOrZeroWeight",
-    "OracleMethod",
     "OracleResult",
     "PathlabError",
     "RoundRecord",
@@ -90,7 +84,6 @@ __all__ = [
     "TreeMatrix",
     "UnsettledVertex",
     "VertexOutOfRange",
-    "Violation",
     "Weight",
     "bellman_ford",
     "build_tree_matrix",
@@ -108,8 +101,6 @@ __all__ = [
     "run_classic",
     "run_modified",
     "run_suite",
-    "saturating_add",
     "select_permanent",
     "to_matrix_text",
-    "validate",
 ]

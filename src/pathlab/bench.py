@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import Graph
+from .graph import MAX_VERTICES, Graph
 from .labeling import Strategy, run_classic, run_modified
 from .oracle import bellman_ford
 from .weights import INFINITY, Weight
@@ -44,6 +44,8 @@ class GraphSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.n > MAX_VERTICES:
+            raise ValueError(f"n must be <= {MAX_VERTICES}")
         if not 0.0 <= self.density <= 1.0:
             raise ValueError("density must be in [0, 1]")
         if self.weight_lo < 1:
@@ -62,7 +64,7 @@ def _derived_seed(seed: int, index: int) -> int:
 
 
 def generate_graph(spec: GraphSpec, index: int) -> Graph:
-    """Deterministic function of (spec, index); always passes validation."""
+    """Deterministic function of (spec, index); always a valid graph."""
     rng = random.Random(_derived_seed(spec.seed, index))
     rows = []
     for i in range(spec.n):
@@ -87,9 +89,12 @@ class StrategyResult:
     strategy: Strategy
     final_distances: tuple[Weight, ...]
     rounds_count: int
-    rounds_count_incl_source: int
     elapsed_seconds: float
     agrees_oracle: bool
+
+    @property
+    def rounds_count_incl_source(self) -> int:
+        return self.rounds_count + 1
 
 
 @dataclass(frozen=True)
@@ -132,14 +137,14 @@ def compare(
     results = []
     for strategy in STRATEGY_ORDER:
         trace, elapsed = _timed_run(g, source, target, strategy)
+        distances = trace.final_distances
         results.append(
             StrategyResult(
                 strategy=strategy,
-                final_distances=trace.final_distances,
+                final_distances=distances,
                 rounds_count=trace.rounds_count,
-                rounds_count_incl_source=trace.rounds_count_incl_source,
                 elapsed_seconds=elapsed,
-                agrees_oracle=trace.final_distances == oracle.distances,
+                agrees_oracle=distances == oracle.distances,
             )
         )
     results = tuple(results)

@@ -51,11 +51,8 @@ def _run_algo(g, algo: str, source: int, target: int | None, stop_at_target: boo
 def _stable_batch_check(g, trace) -> None:
     click.echo(STABLE_BATCH_NOTICE, err=True)
     oracle = bellman_ford(g, trace.source)
-    mismatched = [
-        v
-        for v in g.vertices()
-        if trace.final_distances[v - 1] != oracle.distances[v - 1]
-    ]
+    distances = trace.final_distances
+    mismatched = [v for v in g.vertices() if distances[v - 1] != oracle.distances[v - 1]]
     if mismatched:
         click.echo(
             "warning: stablebatch distances differ from the oracle at "
@@ -120,7 +117,7 @@ def path_cmd(graph_file, source, target, algo):
         _fail(str(exc))
     if algo == "stablebatch":
         _stable_batch_check(g, result)
-    click.echo(f"route: {render.render_route(route)}")
+    click.echo(f"route: {route}")
     click.echo("tree matrix:")
     click.echo(render.render_tree_matrix(tree), nl=False)
 

@@ -32,7 +32,8 @@ class SelfLoop(PathlabError):
 
 
 class GraphTooLarge(PathlabError):
-    """The graph exceeds the size limit of an exhaustive operation."""
+    """The graph exceeds a size limit: ``MAX_VERTICES`` for any checked graph,
+    or the smaller limit of an exhaustive operation."""
 
 
 class FrontierNotPermanent(PathlabError):

@@ -20,15 +20,18 @@ improvement or a settle are skipped when they surface. STABLE_BATCH also keeps
 the set of finite temporary labels.
 
 Every round is recorded with a label snapshot so runs can be replayed,
-rendered, and regression-tested against golden traces. Predecessor sets are
-immutable ``frozenset``s that a change replaces rather than mutates, so a
-snapshot is four list copies that share the sets and weights with the live
-state. A run costs O(m log m) for relaxation and selection, plus O(n) list
-copying per round for the snapshots. Because the snapshots share those
-objects, a vertex's row changes only when its label does: the renderers in
-:mod:`pathlab.render` format each distinct row once per call, so their
-formatting work follows the number of label changes, and only the per-cell
-lookups and the joins of the output stay O(n) per round.
+rendered, and regression-tested against golden traces. A label state stores
+three lists: values, predecessor sets and settling rounds; a vertex is
+permanent exactly when its settling round is set, so its status is derived,
+not stored. Predecessor sets are immutable ``frozenset``s that a change
+replaces rather than mutates, so a snapshot is three list copies that share
+the sets and weights with the live state. A run costs O(m log m) for
+relaxation and selection, plus O(n) list copying per round for the
+snapshots. Because the snapshots share those objects, a vertex's row changes
+only when its label does: the renderers in :mod:`pathlab.render` format each
+distinct row once per call, so their formatting work follows the number of
+label changes, and only the per-cell lookups and the joins of the output
+stay O(n) per round.
 
 :func:`relax_step` and :func:`select_permanent` perform one relax and one
 select move over a whole ``LabelState``; they are the straightforward
@@ -59,33 +62,27 @@ class Strategy(enum.Enum):
     STABLE_BATCH = "stablebatch"
 
 
-class Algorithm(enum.Enum):
-    CLASSIC = "classic"
-    MODIFIED = "modified"
-
-
 class LabelState:
-    """Per-vertex label value, predecessor set, status, and settling round.
+    """Per-vertex label value, predecessor set, and settling round.
 
-    Predecessors hold *all* minimizers seen so far: a strict improvement
-    replaces the set, an equal-value alternative extends it. Sets are never
-    mutated in place, only replaced, so :meth:`copy` is four list copies whose
-    snapshots share the sets. Confined to a single run; use :meth:`copy` for
-    snapshots.
+    A vertex is permanent exactly when its settling round is not None;
+    :meth:`status` derives the :class:`Status` from that. Predecessors hold
+    *all* minimizers seen so far: a strict improvement replaces the set, an
+    equal-value alternative extends it. Sets are never mutated in place, only
+    replaced, so :meth:`copy` is three list copies whose snapshots share the
+    sets. Confined to a single run; use :meth:`copy` for snapshots.
     """
 
-    __slots__ = ("_values", "_preds", "_status", "_settled", "_last_round")
+    __slots__ = ("_values", "_preds", "_settled", "_last_round")
 
     def __init__(
         self,
         values: list[Weight],
         preds: list[frozenset[int]],
-        status: list[Status],
         settled: list[int | None],
     ):
         self._values = values
         self._preds = preds
-        self._status = status
         self._settled = settled
         # Highest settling round so far (-1 before the source is settled);
         # derived from ``settled``, so it takes no part in equality.
@@ -95,12 +92,10 @@ class LabelState:
     def initial(cls, n: int, source: int) -> "LabelState":
         values = [INFINITY] * n
         preds = [frozenset()] * n
-        status = [Status.TEMPORARY] * n
         settled: list[int | None] = [None] * n
         values[source - 1] = Weight.zero()
-        status[source - 1] = Status.PERMANENT
         settled[source - 1] = 0
-        return cls(values, preds, status, settled)
+        return cls(values, preds, settled)
 
     @property
     def n(self) -> int:
@@ -116,16 +111,16 @@ class LabelState:
         return frozenset(self._preds[v - 1])
 
     def status(self, v: int) -> Status:
-        return self._status[v - 1]
+        return Status.TEMPORARY if self._settled[v - 1] is None else Status.PERMANENT
 
     def is_permanent(self, v: int) -> bool:
-        return self._status[v - 1] is Status.PERMANENT
+        return self._settled[v - 1] is not None
 
     def settled_round(self, v: int) -> int | None:
         return self._settled[v - 1]
 
     def all_permanent(self) -> bool:
-        return all(s is Status.PERMANENT for s in self._status)
+        return None not in self._settled
 
     def permanent_vertices(self) -> frozenset[int]:
         return frozenset(v for v in self.vertices() if self.is_permanent(v))
@@ -135,22 +130,19 @@ class LabelState:
 
     def columns(
         self,
-    ) -> tuple[
-        tuple[Weight, ...], tuple[frozenset[int], ...], tuple[Status, ...], tuple[int | None, ...]
-    ]:
-        """Values, predecessor sets, statuses and settled rounds, vertex v at v - 1.
+    ) -> tuple[tuple[Weight, ...], tuple[frozenset[int], ...], tuple[int | None, ...]]:
+        """Values, predecessor sets and settled rounds, vertex v at v - 1.
 
         The elements are the stored objects themselves, which snapshots share
         with the state they were copied from.
         """
-        return tuple(self._values), tuple(self._preds), tuple(self._status), tuple(self._settled)
+        return tuple(self._values), tuple(self._preds), tuple(self._settled)
 
     def copy(self) -> "LabelState":
         # Skips __init__, whose O(n) scan for the last round is already known.
         new = LabelState.__new__(LabelState)
         new._values = list(self._values)
         new._preds = list(self._preds)
-        new._status = list(self._status)
         new._settled = list(self._settled)
         new._last_round = self._last_round
         return new
@@ -171,7 +163,6 @@ class LabelState:
     def settle(self, v: int, round_index: int) -> None:
         if self.is_permanent(v):
             raise ValueError(f"vertex {v} is already permanent")
-        self._status[v - 1] = Status.PERMANENT
         self._settled[v - 1] = round_index
         self._last_round = max(self._last_round, round_index)
 
@@ -181,7 +172,6 @@ class LabelState:
         return (
             self._values == other._values
             and self._preds == other._preds
-            and self._status == other._status
             and self._settled == other._settled
         )
 
@@ -207,21 +197,35 @@ class RoundRecord:
 class RunTrace:
     """Complete record of one labeling run.
 
-    ``rounds_count`` counts relax+select repetitions after source
-    initialization; ``rounds_count_incl_source`` adds one for the
+    The algorithm, the round counts and the final distances are derived from
+    the stored fields. ``rounds_count`` counts relax+select repetitions after
+    source initialization; ``rounds_count_incl_source`` adds one for the
     initialization step, matching tools that display it as a first iteration.
     """
 
-    algorithm: Algorithm
     strategy: Strategy
     source: int
     target: int | None
     rounds: tuple[RoundRecord, ...]
     final_labels: LabelState
-    final_distances: tuple[Weight, ...]
-    rounds_count: int
-    rounds_count_incl_source: int
     terminated_early: bool
+
+    @property
+    def algorithm(self) -> str:
+        """``"classic"`` for SINGLE_MIN, ``"modified"`` for a batching strategy."""
+        return "classic" if self.strategy is Strategy.SINGLE_MIN else "modified"
+
+    @property
+    def rounds_count(self) -> int:
+        return len(self.rounds)
+
+    @property
+    def rounds_count_incl_source(self) -> int:
+        return len(self.rounds) + 1
+
+    @property
+    def final_distances(self) -> tuple[Weight, ...]:
+        return self.final_labels.distances()
 
 
 def init_labels(g: Graph, source: int) -> LabelState:
@@ -316,7 +320,7 @@ def run_classic(
     stop_at_target: bool = False,
 ) -> RunTrace:
     """Classic single-settle labeling run with a full per-round trace."""
-    return _run(g, source, target, stop_at_target, Strategy.SINGLE_MIN, Algorithm.CLASSIC)
+    return _run(g, source, target, stop_at_target, Strategy.SINGLE_MIN)
 
 
 def run_modified(
@@ -329,7 +333,7 @@ def run_modified(
     """Batched labeling run (TIE_BATCH or STABLE_BATCH) with a full trace."""
     if strategy not in (Strategy.TIE_BATCH, Strategy.STABLE_BATCH):
         raise ValueError(f"run_modified requires a batching strategy, got {strategy}")
-    return _run(g, source, target, stop_at_target, strategy, Algorithm.MODIFIED)
+    return _run(g, source, target, stop_at_target, strategy)
 
 
 def _run(
@@ -338,7 +342,6 @@ def _run(
     target: int | None,
     stop_at_target: bool,
     strategy: Strategy,
-    algorithm: Algorithm,
 ) -> RunTrace:
     check_vertex(g, source)
     if target is not None:
@@ -346,7 +349,7 @@ def _run(
     labels = init_labels(g, source)
     # The engine writes the live state's lists directly; the round API
     # functions above do the same moves one LabelState method at a time.
-    values, preds, status = labels._values, labels._preds, labels._status
+    values, preds, settled = labels._values, labels._preds, labels._settled
     adjacency = g.adjacency
     # The Fraction inside each finite label (None for INFINITY): heap keys and
     # the operands of relaxation.
@@ -366,7 +369,7 @@ def _run(
         for u in frontier:
             base = exact[u - 1]
             for v, w in adjacency[u - 1]:
-                if status[v - 1] is Status.PERMANENT:
+                if settled[v - 1] is not None:
                     continue
                 candidate = base + w.fraction
                 old = exact[v - 1]
@@ -380,7 +383,7 @@ def _run(
                     changed.add(v)
                 elif candidate == old:
                     preds[v - 1] = preds[v - 1] | {u}
-        newly = _pop_minimum(heap, exact, status, strategy is not Strategy.SINGLE_MIN)
+        newly = _pop_minimum(heap, exact, settled, strategy is not Strategy.SINGLE_MIN)
         if not newly:
             break
         if strategy is Strategy.STABLE_BATCH:
@@ -394,15 +397,11 @@ def _run(
         rounds.append(RoundRecord(round_index, frontier, labels.copy(), newly))
         frontier = newly
     return RunTrace(
-        algorithm=algorithm,
         strategy=strategy,
         source=source,
         target=target,
         rounds=tuple(rounds),
         final_labels=labels,
-        final_distances=labels.distances(),
-        rounds_count=len(rounds),
-        rounds_count_incl_source=len(rounds) + 1,
         terminated_early=terminated_early,
     )
 
@@ -410,7 +409,7 @@ def _run(
 def _pop_minimum(
     heap: list[tuple[Fraction, int]],
     exact: list[Fraction | None],
-    status: list[Status],
+    settled: list[int | None],
     whole_tie_class: bool,
 ) -> set[int]:
     """Pop the lowest-id temporary vertex at the minimum, or all tied with it.
@@ -423,7 +422,7 @@ def _pop_minimum(
     chosen: set[int] = set()
     while heap and (minimum is None or heap[0][0] == minimum):
         value, v = heappop(heap)
-        if status[v - 1] is Status.TEMPORARY and exact[v - 1] == value:
+        if settled[v - 1] is None and exact[v - 1] == value:
             chosen.add(v)
             minimum = value
             if not whole_tie_class:

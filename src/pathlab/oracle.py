@@ -7,7 +7,6 @@ would have to hit both to validate a wrong answer.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from .errors import GraphTooLarge
@@ -18,15 +17,11 @@ from .weights import INFINITY, Weight
 MAX_ENUMERATION_VERTICES = 12
 
 
-class OracleMethod(enum.Enum):
-    BELLMAN_FORD = "bellman-ford"
-    ENUMERATION = "enumeration"
-
-
 @dataclass(frozen=True)
 class OracleResult:
+    """Distances computed by :func:`bellman_ford`, vertex v at v - 1."""
+
     distances: tuple[Weight, ...]
-    method: OracleMethod
 
 
 def bellman_ford(g: Graph, source: int) -> OracleResult:
@@ -44,7 +39,7 @@ def bellman_ford(g: Graph, source: int) -> OracleResult:
                 improved = True
         if not improved:
             break
-    return OracleResult(tuple(dist), OracleMethod.BELLMAN_FORD)
+    return OracleResult(tuple(dist))
 
 
 def enumerate_min_path(

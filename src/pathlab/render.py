@@ -8,15 +8,17 @@ layout carrying every round-record field exactly (weights as exact strings),
 and round-trips via :func:`trace_from_json`.
 
 Cost model. A trace holds one label snapshot per round, and snapshots share
-their weights, predecessor sets and statuses with the run's live state, so a
-vertex's row differs from the previous round's only when its label changed.
+their weights and predecessor sets with the run's live state, so a vertex's
+row differs from the previous round's only when its label changed.
 :func:`render_trace_text` and :func:`trace_to_json` keep a memo, for the
 length of one call, from each distinct row to its formatted text. Formatting
 work is therefore proportional to the number of distinct rows (about the
 number of label changes), and the remaining work is one dict lookup per cell
 plus joins proportional to the output bytes. :func:`trace_from_json` decodes
 with the C JSON parser and, within one call, parses each distinct weight
-string, status and vertex list once.
+string, status and vertex list once, and checks every field the document
+repeats (algorithm, round counts, final distances, statuses) against the one
+it is derived from.
 """
 
 from __future__ import annotations
@@ -24,21 +26,15 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import cache, partial
-from operator import itemgetter
+from itertools import repeat
+from operator import is_not, itemgetter
 from typing import Callable
 
 from .bench import ComparisonRecord
 from .errors import MalformedInput
-from .labeling import (
-    Algorithm,
-    LabelState,
-    RoundRecord,
-    RunTrace,
-    Status,
-    Strategy,
-)
+from .labeling import LabelState, RoundRecord, RunTrace, Status, Strategy
 from .oracle import OracleResult
-from .tree import Route, TreeMatrix
+from .tree import TreeMatrix
 from .weights import Weight
 
 
@@ -50,32 +46,37 @@ def two_decimals(w: Weight) -> str:
 
 
 def _formatted_rows(labels: LabelState, memo: dict, fmt: Callable[..., str]) -> list[str]:
-    """``fmt(v, value, predecessors, status, settled_round)`` for every vertex
-    v of ``labels``, formatted once per distinct row.
+    """``fmt(v, value, predecessors, settled_round)`` for every vertex v of
+    ``labels``, formatted once per distinct row.
 
     ``memo`` belongs to one call. Rows are keyed by the identity of their
-    weight, predecessor set and status: snapshots share those objects with
-    the live state, and the trace keeps every one of them alive for the
-    whole call, so an identity names one content. Equal contents held in
-    distinct objects only cost an extra format.
+    weight and predecessor set, and by the settled round, which also fixes
+    the status: snapshots share those objects with the live state, and the
+    trace keeps every one of them alive for the whole call, so an identity
+    names one content. Equal contents held in distinct objects only cost an
+    extra format.
     """
-    values, preds, status, settled = labels.columns()
-    keys = list(zip(labels.vertices(), map(id, values), map(id, preds), map(id, status), settled))
+    values, preds, settled = labels.columns()
+    keys = list(zip(labels.vertices(), map(id, values), map(id, preds), settled))
     out = list(map(memo.get, keys))
     for i in [i for i, text in enumerate(out) if text is None]:
-        out[i] = memo[keys[i]] = fmt(i + 1, values[i], preds[i], status[i], settled[i])
+        out[i] = memo[keys[i]] = fmt(i + 1, values[i], preds[i], settled[i])
     return out
+
+
+def _status_name(settled: int | None) -> str:
+    return (Status.TEMPORARY if settled is None else Status.PERMANENT).value
 
 
 def _vertex_set(vertices: frozenset[int]) -> str:
     return "{" + ",".join(str(v) for v in sorted(vertices)) + "}"
 
 
-def _text_row(source: int, v: int, value: Weight, preds, status: Status, _settled) -> str:
+def _text_row(source: int, v: int, value: Weight, preds, settled) -> str:
     if value.is_infinite:
         return f"{v:4d} |"
     predecessor = "-" if v == source or not preds else str(min(preds))
-    return f"{v:4d} | [{two_decimals(value)}, {predecessor}] | {status.value}"
+    return f"{v:4d} | [{two_decimals(value)}, {predecessor}] | {_status_name(settled)}"
 
 
 def render_trace_text(trace: RunTrace) -> str:
@@ -112,7 +113,7 @@ def _json_ints(values: frozenset[int], depth: int) -> str:
     return _json_array([f"{pad}{v}" for v in sorted(values)], depth)
 
 
-def _json_row(depth: int, v: int, value: Weight, preds, status: Status, settled) -> str:
+def _json_row(depth: int, v: int, value: Weight, preds, settled) -> str:
     # What json.dumps(row, indent=2) writes for the row dict nested ``depth``
     # levels deep. No string in a row needs escaping: str(Weight) and the
     # status values are ASCII digits, letters and ".-/".
@@ -122,7 +123,7 @@ def _json_row(depth: int, v: int, value: Weight, preds, status: Status, settled)
         f'{pad}  "vertex": {v},\n'
         f'{pad}  "value": "{value}",\n'
         f'{pad}  "predecessors": {_json_ints(preds, depth + 1)},\n'
-        f'{pad}  "status": "{status.value}",\n'
+        f'{pad}  "status": "{_status_name(settled)}",\n'
         f'{pad}  "settled_round": {"null" if settled is None else settled}\n'
         f"{pad}}}"
     )
@@ -151,7 +152,7 @@ def trace_to_json(trace: RunTrace) -> str:
     final_distances = [f"    {json.dumps(str(w))}" for w in trace.final_distances]
     return (
         "{\n"
-        f'  "algorithm": {json.dumps(trace.algorithm.value)},\n'
+        f'  "algorithm": {json.dumps(trace.algorithm)},\n'
         f'  "strategy": {json.dumps(trace.strategy.value)},\n'
         f'  "source": {json.dumps(trace.source)},\n'
         f'  "target": {json.dumps(trace.target)},\n'
@@ -193,7 +194,7 @@ class _TraceLoader:
     def __init__(self, n: int):
         self.n = n
         self.weight = cache(Weight.from_str)
-        self.status = cache(Status)
+        self.is_permanent = cache(lambda name: Status(name) is Status.PERMANENT)
         self.vertex_set = cache(partial(_vertices, n))
         self.vertex_ids = tuple(range(1, n + 1))
 
@@ -210,10 +211,11 @@ class _TraceLoader:
             raise TypeError("predecessors must be lists")
         if not {type(r) for r in settled} <= {int, type(None)}:
             raise TypeError("settled_round must be an integer or null")
+        if list(map(self.is_permanent, status)) != list(map(is_not, settled, repeat(None))):
+            raise ValueError("a status disagrees with its settled_round")
         return LabelState(
             list(map(self.weight, value)),
             list(map(self.vertex_set, map(tuple, preds))),
-            list(map(self.status, status)),
             list(settled),
         )
 
@@ -230,8 +232,10 @@ def trace_from_json(text: str) -> RunTrace:
     """Inverse of :func:`trace_to_json`.
 
     Raises MalformedInput when ``text`` is not JSON, lacks a key, holds a
-    value of the wrong type, an unknown algorithm, strategy or status, an
-    out-of-range vertex, or label lists whose lengths differ.
+    value of the wrong type, an unknown strategy or status, an out-of-range
+    vertex, or label lists whose lengths differ, or when a field it derives
+    disagrees with the document: the algorithm, either round count, the
+    final distances, or a status given its settled_round.
     """
     try:
         data = json.loads(text)
@@ -244,18 +248,23 @@ def trace_from_json(text: str) -> RunTrace:
         final_distances = _typed(data["final_distances"], list)
         if len(final_distances) != n:
             raise ValueError(f"final_distances has {len(final_distances)} entries, expected {n}")
-        return RunTrace(
-            algorithm=Algorithm(data["algorithm"]),
+        trace = RunTrace(
             strategy=Strategy(data["strategy"]),
             source=_vertex(n, data["source"]),
             target=None if target is None else _vertex(n, target),
             rounds=tuple(map(load.round, _typed(data["rounds"], list))),
             final_labels=load.labels(final_items),
-            final_distances=tuple(map(load.weight, final_distances)),
-            rounds_count=_typed(data["rounds_count"], int),
-            rounds_count_incl_source=_typed(data["rounds_count_incl_source"], int),
             terminated_early=_typed(data["terminated_early"], bool),
         )
+        if data["algorithm"] != trace.algorithm:
+            raise ValueError(f"algorithm {data['algorithm']!r} is not that of {trace.strategy.value}")
+        if _typed(data["rounds_count"], int) != trace.rounds_count:
+            raise ValueError(f"rounds_count is not the {trace.rounds_count} rounds listed")
+        if _typed(data["rounds_count_incl_source"], int) != trace.rounds_count_incl_source:
+            raise ValueError("rounds_count_incl_source is not rounds_count + 1")
+        if tuple(map(load.weight, final_distances)) != trace.final_distances:
+            raise ValueError("final_distances disagree with the final_labels values")
+        return trace
     except KeyError as exc:
         raise MalformedInput(f"malformed trace: missing key {exc}") from None
     except (TypeError, ValueError, RecursionError) as exc:
@@ -270,12 +279,8 @@ def render_tree_matrix(t: TreeMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_route(route: Route) -> str:
-    return str(route)
-
-
 def render_oracle_text(result: OracleResult) -> str:
-    lines = [f"method: {result.method.value}"]
+    lines = ["method: bellman-ford"]
     for v, w in enumerate(result.distances, start=1):
         lines.append(f"{v:4d} | {w}")
     return "\n".join(lines) + "\n"

@@ -8,6 +8,7 @@ it absorbs addition and sorts above every finite value.
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 from numbers import Rational
@@ -24,6 +25,7 @@ _DECIMAL_TOKEN = re.compile(r"[+-]?([0-9]+)(?:\.([0-9]+))?")
 _EXACT_STR = re.compile(r"-?[0-9]+(?:\.[0-9]+|/0*[1-9][0-9]*)?")
 
 
+@functools.total_ordering
 class Weight:
     """A non-negative exact distance, or the INFINITY sentinel."""
 
@@ -120,24 +122,6 @@ class Weight:
             return True
         return self._value < other._value
 
-    def __le__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self == other or self < other
-
-    def __gt__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other < self
-
-    def __ge__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other <= self
-
     def __str__(self) -> str:
         if self._value is None:
             return "INF"
@@ -159,11 +143,6 @@ def _coerce(value) -> Weight:
     if isinstance(value, Rational):
         return Weight(Fraction(value))
     return NotImplemented
-
-
-def saturating_add(a: Weight, b: Weight) -> Weight:
-    """Sum of two weights; INFINITY absorbs. Exact for finite operands."""
-    return _coerce(a) + _coerce(b)
 
 
 def _decimal_str(q: Fraction) -> str:

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import pathlab
+import pathlab.render
 from pathlab import (
     GraphSpec,
     RunReport,
@@ -17,9 +21,11 @@ from pathlab import (
     report_to_csv,
     report_to_json,
     run_suite,
-    validate,
 )
 from pathlab.bench import CSV_HEADER
+from pathlab.graph import MAX_VERTICES
+
+from .strategies import validate
 
 
 def single_record_report(record) -> RunReport:
@@ -53,6 +59,9 @@ class TestGraphSpec:
             spec(tie_bias=-0.1)
         with pytest.raises(ValueError):
             spec(n=0)
+        with pytest.raises(ValueError, match=str(MAX_VERTICES)):
+            spec(n=MAX_VERTICES + 1)
+        assert spec(n=MAX_VERTICES).n == MAX_VERTICES
 
 
 class TestGenerateGraph:
@@ -180,3 +189,17 @@ class TestReportFormats:
         record = compare(paper8, 1, spec_index=0, graph_index=0)
         text = report_to_json(single_record_report(record))
         assert '"0",' in text and '"10",' in text
+
+
+def test_benchmark_finds_every_name_it_calls():
+    # perfbench/spans.py looks pathlab's functions up by name, and points
+    # pathlab.bench's own references at wrappers; a renamed or deleted one
+    # breaks the benchmark while every other test passes
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    lib = spans.make_lib(pathlab)
+    for name in spans.BENCH_INTERNALS:
+        assert callable(getattr(pathlab.bench, name)), name
+        assert callable(getattr(lib, name)), name

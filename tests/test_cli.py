@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from pathlab.cli import main
+from pathlab.graph import MAX_VERTICES
 
 from .conftest import fixture_path
 from .test_render import GOLDEN_FINAL_TABLE
@@ -16,11 +18,49 @@ TORA = str(fixture_path("paper8_tora.mat"))
 TIE4 = str(fixture_path("tie4.edges"))
 CX4 = str(fixture_path("counterexample4.edges"))
 
-# stdout of `pathlab trace fixtures/<fixture> --source 1 --algo <algo>
-# --format <format>`, one file per case, named trace_<fixture stem>_<algo> with
-# .txt for text and .json for structured output.
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_FIXTURES = ["paper8.mat", "paper8_tora.mat", "tie4.edges", "counterexample4.edges"]
+# the last vertex of each fixture, the target of the `path` goldens
+LAST_VERTEX = {"paper8.mat": 8, "paper8_tora.mat": 8, "tie4.edges": 4, "counterexample4.edges": 4}
+
+# Graph files that break one invariant, or two (the first in row-major order
+# is the one reported), each the argument of `pathlab oracle --source 1`.
+BAD_GRAPHS = {
+    "diagonal_nonzero.mat": "2\n5 1\n1 0\n",
+    "negative_weight.mat": "2\n0 -1\n1 0\n",
+    "zero_weight.mat": "2\n0 0\n1 0\n",
+    "duplicate_edge.edges": "2 2\n1 2 3\n1 2 4\n",
+    "self_loop.edges": "2 1\n1 1 3\n",
+    "vertex_out_of_range.edges": "2 1\n1 3 1\n",
+    "two_violations.mat": "3\n0 1 -1\n1 5 1\n1 1 0\n",
+}
+
+
+def _golden_cases():
+    """(id, golden file, argv, bad graph file or None) for every golden.
+
+    A file under tests/golden/ holds the stdout of a successful command:
+    trace_<fixture stem>_<algo>.{txt,json} of `trace --source 1 --algo <algo>
+    --format text|structured`, and path_, compare_ and oracle_<fixture stem>.txt
+    of `path --source 1 --target <last vertex>`, `compare --source 1` and
+    `oracle --source 1`. error_<stem>.txt holds the stderr of `oracle` on the
+    bad graph file <stem>, which exits 1.
+    """
+    for format_ in ["text", "structured"]:
+        for algo in ["classic", "tiebatch", "stablebatch"]:
+            for fixture in GOLDEN_FIXTURES:
+                golden = f"trace_{fixture.split('.')[0]}_{algo}.{'txt' if format_ == 'text' else 'json'}"
+                argv = ["trace", str(fixture_path(fixture)), "--source", "1", "--algo", algo,
+                        "--format", format_]
+                yield f"{format_}-{algo}-{fixture}", golden, argv, None
+    for fixture in GOLDEN_FIXTURES:
+        stem, graph = fixture.split(".")[0], str(fixture_path(fixture))
+        target = str(LAST_VERTEX[fixture])
+        yield f"path-{fixture}", f"path_{stem}.txt", ["path", graph, "--source", "1", "--target", target], None
+        yield f"compare-{fixture}", f"compare_{stem}.txt", ["compare", graph, "--source", "1"], None
+        yield f"oracle-{fixture}", f"oracle_{stem}.txt", ["oracle", graph, "--source", "1"], None
+    for name in BAD_GRAPHS:
+        yield f"error-{name}", f"error_{name.split('.')[0]}.txt", ["oracle", name, "--source", "1"], name
 
 
 @pytest.fixture()
@@ -95,18 +135,22 @@ class TestTrace:
         assert result.exit_code == 1
         assert "error:" in result.stderr
 
-    @pytest.mark.parametrize("fixture", GOLDEN_FIXTURES)
-    @pytest.mark.parametrize("algo", ["classic", "tiebatch", "stablebatch"])
-    @pytest.mark.parametrize("format_", ["text", "structured"])
-    def test_output_matches_golden_bytes(self, runner, fixture, algo, format_):
-        result = runner.invoke(
-            main,
-            ["trace", str(fixture_path(fixture)), "--source", "1", "--algo", algo,
-             "--format", format_],
-        )
-        assert result.exit_code == 0
-        golden = GOLDEN / f"trace_{fixture.split('.')[0]}_{algo}.{'txt' if format_ == 'text' else 'json'}"
-        assert result.stdout_bytes == golden.read_bytes()
+    @pytest.mark.parametrize(
+        "golden, argv, bad_graph",
+        [pytest.param(*case[1:], id=case[0]) for case in _golden_cases()],
+    )
+    def test_output_matches_golden_bytes(self, runner, tmp_path, golden, argv, bad_graph):
+        if bad_graph is None:
+            result = runner.invoke(main, argv)
+            assert result.exit_code == 0
+            assert result.stdout_bytes == (GOLDEN / golden).read_bytes()
+        else:
+            (tmp_path / bad_graph).write_text(BAD_GRAPHS[bad_graph])
+            argv = [str(tmp_path / arg) if arg == bad_graph else arg for arg in argv]
+            result = runner.invoke(main, argv)
+            assert result.exit_code == 1
+            assert result.stdout_bytes == b""
+            assert result.stderr_bytes == (GOLDEN / golden).read_bytes()
 
     def test_source_out_of_range_is_input_error(self, runner):
         result = runner.invoke(
@@ -172,6 +216,16 @@ class TestOracle:
         assert result.exit_code == 0
         assert "   3 | 3" in result.stdout
 
+    @pytest.mark.parametrize("name, text", [("big.edges", "100000 0\n"), ("big.mat", "100000\n")])
+    def test_vertex_count_above_the_limit_is_input_error(self, runner, tmp_path, name, text):
+        graph = tmp_path / name
+        graph.write_text(text)
+        start = time.perf_counter()
+        result = runner.invoke(main, ["oracle", str(graph), "--source", "1"])
+        assert time.perf_counter() - start < 0.5
+        assert result.exit_code == 1
+        assert result.stderr == f"error: 100000 vertices exceed the limit of {MAX_VERTICES}\n"
+
     def test_huge_exponent_weight_is_input_error(self, runner, tmp_path):
         # parsed by Fraction, 1e5000 used to fail only when printed
         graph = tmp_path / "g.edges"
@@ -222,6 +276,20 @@ class TestBench:
             ],
         )
         assert result.exit_code == 2
+
+    def test_nodes_above_the_limit_is_usage_error(self, runner, tmp_path):
+        start = time.perf_counter()
+        result = runner.invoke(
+            main,
+            [
+                "bench", "--nodes", "100000", "--density", "0.5", "--graphs", "1",
+                "--seed", "1", "--out", str(tmp_path / "r.csv"),
+            ],
+        )
+        assert time.perf_counter() - start < 0.5
+        assert result.exit_code == 2
+        assert str(MAX_VERTICES) in result.stderr
+        assert not (tmp_path / "r.csv").exists()
 
     def test_out_of_range_density_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(

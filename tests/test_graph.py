@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from pathlab import (
     DiagonalNonZero,
     DuplicateEdge,
     Graph,
+    GraphTooLarge,
     INFINITY,
     MalformedInput,
     NegativeOrZeroWeight,
@@ -18,11 +21,11 @@ from pathlab import (
     parse_edge_list,
     parse_matrix_text,
     to_matrix_text,
-    validate,
 )
+from pathlab.graph import MAX_VERTICES
 
 from .conftest import fixture_path
-from .strategies import graphs
+from .strategies import graphs, validate
 
 
 # Tokens that Fraction accepts, or that are not numbers at all, but that the
@@ -168,7 +171,8 @@ class TestParseEdgeList:
 
     @given(graphs())
     def test_parsed_edge_lists_validate_ok(self, g):
-        # the parser checks each edge line itself and runs no validate() pass
+        # the parser checks each edge through Graph.from_edges; validate is
+        # the reference checker
         edges = list(g.edges())
         text = f"{g.n} {len(edges)}\n" + "".join(f"{u} {v} {w}\n" for u, v, w in edges)
         parsed = parse_edge_list(text)
@@ -181,30 +185,112 @@ class TestValidate:
         assert validate(paper8) == []
 
     def test_reports_negative_weight_position(self):
-        g = Graph.from_edges(3, [(1, 2, 1)])
-        rows = [list(row) for row in g.weights]
-        rows[1][2] = Weight.finite(-1)
-        bad = Graph(3, tuple(tuple(r) for r in rows))
-        violations = validate(bad)
-        assert len(violations) == 1
-        assert violations[0].kind is NegativeOrZeroWeight
-        assert (violations[0].row, violations[0].col) == (2, 3)
+        with pytest.raises(NegativeOrZeroWeight) as info:
+            parse_matrix_text("3\n0 1 INF\nINF 0 -1\nINF INF 0\n")
+        assert str(info.value) == "NegativeOrZeroWeight at (2,3): -1"
 
     def test_reports_diagonal_position(self):
-        g = Graph.from_edges(3, [])
-        rows = [list(row) for row in g.weights]
-        rows[2][2] = Weight.finite(2)
-        bad = Graph(3, tuple(tuple(r) for r in rows))
-        violations = validate(bad)
-        assert [(v.kind, v.row, v.col) for v in violations] == [(DiagonalNonZero, 3, 3)]
+        with pytest.raises(DiagonalNonZero) as info:
+            parse_matrix_text("3\n0 INF INF\nINF 0 INF\nINF INF 2\n")
+        assert str(info.value) == "DiagonalNonZero at (3,3): 2"
 
-    def test_reports_every_violation(self):
-        rows = (
-            (Weight.finite(1), Weight.finite(-2)),
-            (INFINITY, Weight.zero()),
-        )
-        violations = validate(Graph(2, rows))
-        assert [v.kind for v in violations] == [DiagonalNonZero, NegativeOrZeroWeight]
+    def test_reports_first_violation_in_row_major_order(self):
+        # (1,1) comes before (1,2); in the next matrix (1,3) comes before
+        # (2,2), though a column-major or diagonal-first scan would meet
+        # (2,2) first
+        with pytest.raises(DiagonalNonZero, match=r"^DiagonalNonZero at \(1,1\): 1$"):
+            parse_matrix_text("2\n1 -2\nINF 0\n")
+        with pytest.raises(NegativeOrZeroWeight, match=r"at \(1,3\): -1$"):
+            parse_matrix_text("3\n0 1 -1\n1 5 1\n1 1 0\n")
+
+    @given(st.data())
+    def test_parser_agrees_with_the_reference_checker(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=5))
+        tokens = st.sampled_from(["0", "-0", "0.0", "-1", "-2.5", "1", "2.5", "INF", "inf"])
+        rows = [[data.draw(tokens) for _ in range(n)] for _ in range(n)]
+        text = f"{n}\n" + "".join(" ".join(row) + "\n" for row in rows)
+        unchecked = Graph(n, tuple(tuple(map(Weight.from_token, row)) for row in rows))
+        violations = validate(unchecked)
+        if not violations:
+            assert parse_matrix_text(text) == unchecked
+            return
+        with pytest.raises(violations[0].kind) as info:
+            parse_matrix_text(text)
+        assert str(info.value) == str(violations[0])
+
+
+class TestFromEdges:
+    @pytest.mark.parametrize(
+        "weight, error",
+        [
+            (-1, NegativeOrZeroWeight),
+            (0, NegativeOrZeroWeight),
+            (Weight.finite("-0.5"), NegativeOrZeroWeight),
+            (Weight.zero(), NegativeOrZeroWeight),
+            (INFINITY, MalformedInput),
+            (Weight(None), MalformedInput),
+        ],
+        ids=["int -1", "int 0", "-0.5", "zero", "INFINITY", "another INF"],
+    )
+    def test_rejects_non_positive_and_infinite_weights(self, weight, error):
+        with pytest.raises(error):
+            Graph.from_edges(3, [(1, 2, weight)])
+
+    def test_negative_weight_error_names_the_edge(self):
+        with pytest.raises(NegativeOrZeroWeight, match=r"^edge \(1,2\) has non-positive weight -1$"):
+            Graph.from_edges(3, [(1, 2, -1)])
+
+    @pytest.mark.parametrize(
+        "edges, error",
+        [
+            ([(1, 3, 1)], VertexOutOfRange),
+            ([(0, 1, 1)], VertexOutOfRange),
+            ([(2, 2, 1)], SelfLoop),
+            ([(1, 2, 1), (1, 2, 2)], DuplicateEdge),
+        ],
+    )
+    def test_raises_the_edge_list_errors(self, edges, error):
+        with pytest.raises(error):
+            Graph.from_edges(2, edges)
+
+    def test_first_bad_edge_decides(self):
+        # the self loop comes first, though the later edge is out of range
+        with pytest.raises(SelfLoop):
+            Graph.from_edges(2, [(1, 2, 1), (2, 2, 1), (1, 5, -1)])
+
+    def test_accepts_plain_numbers(self):
+        g = Graph.from_edges(2, [(1, 2, 3), (2, 1, Fraction(1, 2))])
+        assert g.weight(1, 2) == 3 and g.weight(2, 1) == Fraction(1, 2)
+        assert validate(g) == []
+
+
+class TestVertexLimit:
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (parse_edge_list, "100000 0\n"),
+            (parse_matrix_text, "100000\n"),
+            (parse_edge_list, f"{MAX_VERTICES + 1} 0\n"),
+            (parse_matrix_text, f"{MAX_VERTICES + 1}\n0\n"),
+        ],
+    )
+    def test_header_above_the_limit_fails_fast(self, parse, text):
+        start = time.perf_counter()
+        with pytest.raises(GraphTooLarge, match=str(MAX_VERTICES)):
+            parse(text)
+        assert time.perf_counter() - start < 0.5
+
+    def test_from_edges_checks_the_limit(self):
+        with pytest.raises(GraphTooLarge):
+            Graph.from_edges(MAX_VERTICES + 1, [])
+
+    def test_limit_is_inclusive(self):
+        # n = MAX_VERTICES passes the limit and fails later, at the entry or
+        # line count, without building the matrix
+        with pytest.raises(MalformedInput, match=f"expected {MAX_VERTICES ** 2} matrix entries"):
+            parse_matrix_text(f"{MAX_VERTICES}\n0\n")
+        with pytest.raises(MalformedInput, match="expected 1 edge lines"):
+            parse_edge_list(f"{MAX_VERTICES} 1\n")
 
 
 class TestSerialization:

@@ -138,9 +138,10 @@ class TestSelectPermanent:
         labels = LabelState(
             [Weight.finite(v) for v in (0, 1, 2, 5)],
             [set(), {1}, {2}, {3}],
-            [Status.PERMANENT] * 3 + [Status.TEMPORARY],
             [0, 2, 1, None],
         )
+        assert labels.status(3) is Status.PERMANENT
+        assert labels.status(4) is Status.TEMPORARY
         assert select_permanent(labels, Strategy.SINGLE_MIN, frozenset()) == {4}
         assert labels.settled_round(4) == 3
 
@@ -241,6 +242,22 @@ class TestTraceInvariants:
             assert sum(len(r.newly_permanent) for r in trace.rounds) == len(settled) - 1
             assert trace.rounds_count_incl_source == trace.rounds_count + 1
 
+    def test_derived_fields(self, paper8):
+        traces = [
+            run_classic(paper8, 1, 5, stop_at_target=True),
+            run_modified(paper8, 1, 5, True, Strategy.TIE_BATCH),
+            run_modified(paper8, 1, 5, True, Strategy.STABLE_BATCH),
+        ]
+        assert [trace.algorithm for trace in traces] == ["classic", "modified", "modified"]
+        for trace in traces:
+            assert trace.rounds_count == len(trace.rounds)
+            assert trace.final_distances == trace.final_labels.distances()
+            labels = trace.final_labels
+            for v in labels.vertices():
+                permanent = labels.settled_round(v) is not None
+                assert labels.is_permanent(v) is permanent
+                assert labels.status(v) is (Status.PERMANENT if permanent else Status.TEMPORARY)
+
     def test_frontier_chains_from_previous_round(self, paper8):
         trace = run_modified(paper8, 1, strategy=Strategy.TIE_BATCH)
         assert trace.rounds[0].frontier == {1}
@@ -260,7 +277,6 @@ class TestTraceInvariants:
         rebuilt = LabelState(
             [before.value(v) for v in before.vertices()],
             [set(before.predecessors(v)) for v in before.vertices()],
-            [before.status(v) for v in before.vertices()],
             [before.settled_round(v) for v in before.vertices()],
         )
         assert rebuilt == before

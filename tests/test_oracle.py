@@ -7,12 +7,12 @@ from pathlab import (
     Graph,
     GraphTooLarge,
     INFINITY,
-    OracleMethod,
     VertexOutOfRange,
     bellman_ford,
     enumerate_min_path,
     parse_matrix_text,
 )
+from pathlab.render import render_oracle_text
 
 from .strategies import graphs
 
@@ -21,7 +21,7 @@ class TestBellmanFord:
     def test_eight_city_distances(self, paper8):
         result = bellman_ford(paper8, 1)
         assert result.distances == (0, 1, 2, 4, 3, 6, 10, 8)
-        assert result.method is OracleMethod.BELLMAN_FORD
+        assert render_oracle_text(result).startswith("method: bellman-ford\n")
 
     def test_single_vertex(self):
         g = parse_matrix_text("1\n0")

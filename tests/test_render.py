@@ -21,7 +21,6 @@ from pathlab import (
 from pathlab.render import (
     mean_str,
     render_comparison_text,
-    render_route,
     render_trace_text,
     render_tree_matrix,
     trace_from_json,
@@ -105,7 +104,7 @@ def test_tree_matrix_rendering(paper8_tora):
 
 def test_route_rendering(paper8_tora):
     tree = build_tree_matrix(paper8_tora, run_classic(paper8_tora, 1))
-    assert render_route(extract_path(tree, 8)) == "1-2-3-6-8 (8)"
+    assert str(extract_path(tree, 8)) == "1-2-3-6-8 (8)"
 
 
 def test_comparison_rendering(counterexample4):
@@ -140,7 +139,7 @@ def _reference_labels_to_list(labels: LabelState) -> list[dict]:
 
 def reference_trace_to_dict(trace: RunTrace) -> dict:
     return {
-        "algorithm": trace.algorithm.value,
+        "algorithm": trace.algorithm,
         "strategy": trace.strategy.value,
         "source": trace.source,
         "target": trace.target,
@@ -319,6 +318,17 @@ MALFORMED_DOCUMENTS = {
     "float_rounds_count": lambda doc: {**doc, "rounds_count": 5.0},
     "int_terminated_early": lambda doc: {**doc, "terminated_early": 0},
     "list_document": lambda doc: [doc],
+    # documents that contradict themselves: a field that restates another
+    "wrong_rounds_count": lambda doc: {**doc, "rounds_count": 999},
+    "wrong_rounds_count_incl_source": lambda doc: {**doc, "rounds_count_incl_source": 5},
+    "algorithm_of_another_strategy": lambda doc: {**doc, "algorithm": "classic"},
+    "final_distances_disagree": lambda doc: {
+        **doc,
+        "final_distances": doc["final_distances"][:-1] + ["9"],
+    },
+    "permanent_without_settled_round": lambda doc: _with_rows(
+        doc, lambda row: {**row, "settled_round": None}
+    ),
 }
 
 

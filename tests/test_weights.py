@@ -1,29 +1,31 @@
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pathlab import INFINITY, Weight, saturating_add
+from pathlab import INFINITY, Weight
 
 
 def test_finite_sum():
-    assert saturating_add(Weight.finite(2), Weight.finite(3)) == Weight.finite(5)
+    assert Weight.finite(2) + Weight.finite(3) == Weight.finite(5)
 
 
 def test_infinity_absorbs_on_either_side():
-    assert saturating_add(INFINITY, Weight.finite(3)) == INFINITY
-    assert saturating_add(Weight.finite(3), INFINITY) == INFINITY
-    assert saturating_add(INFINITY, INFINITY) == INFINITY
+    assert INFINITY + Weight.finite(3) == INFINITY
+    assert Weight.finite(3) + INFINITY == INFINITY
+    assert INFINITY + INFINITY == INFINITY
 
 
 @given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=0, max_value=10**9))
 def test_finite_addition_is_exact_and_commutative(a, b):
     wa, wb = Weight.finite(a), Weight.finite(b)
-    assert saturating_add(wa, wb) == Weight.finite(a + b)
-    assert saturating_add(wa, wb) == saturating_add(wb, wa)
+    assert wa + wb == Weight.finite(a + b)
+    assert wa + wb == wb + wa
 
 
 @given(
@@ -31,7 +33,24 @@ def test_finite_addition_is_exact_and_commutative(a, b):
     st.fractions(min_value=0, max_value=1000, max_denominator=100),
 )
 def test_fraction_addition_is_exact(a, b):
-    assert saturating_add(Weight.finite(a), Weight.finite(b)).fraction == a + b
+    assert (Weight.finite(a) + Weight.finite(b)).fraction == a + b
+
+
+# A Weight, INFINITY above every finite value, compared against equal Weight
+# objects, ints and Fractions.
+ORDERED = {
+    "INF": INFINITY,
+    "0": Weight.zero(),
+    "1": Weight.finite(1),
+    "another 1": Weight.finite(1),
+    "2.5": Weight.finite("2.5"),
+    "int 1": 1,
+    "Fraction(5, 2)": Fraction(5, 2),
+}
+
+
+def _rank(x):
+    return math.inf if x is INFINITY else x.fraction if isinstance(x, Weight) else x
 
 
 def test_ordering():
@@ -41,6 +60,13 @@ def test_ordering():
     assert not INFINITY < INFINITY
     assert INFINITY == INFINITY
     assert min(INFINITY, Weight.finite(5), Weight.finite(2)) == Weight.finite(2)
+    # the truth table of all six operators over every pair with a Weight on
+    # either side: the order of the exact numbers, with INFINITY above them
+    for op in (operator.lt, operator.le, operator.eq, operator.ne, operator.gt, operator.ge):
+        for a_name, a in ORDERED.items():
+            for b_name, b in ORDERED.items():
+                if isinstance(a, Weight) or isinstance(b, Weight):
+                    assert op(a, b) is op(_rank(a), _rank(b)), (a_name, op.__name__, b_name)
 
 
 def test_compares_against_plain_numbers():
