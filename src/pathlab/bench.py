@@ -17,13 +17,13 @@ import hashlib
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .graph import MAX_VERTICES, Graph
+from .graph import MAX_EDGES, MAX_VERTICES, Graph
 from .labeling import Strategy, run_classic, run_modified
 from .oracle import bellman_ford
-from .weights import INFINITY, Weight
+from .weights import Weight
 
 STRATEGY_ORDER = (Strategy.SINGLE_MIN, Strategy.TIE_BATCH, Strategy.STABLE_BATCH)
 
@@ -48,6 +48,8 @@ class GraphSpec:
             raise ValueError(f"n must be <= {MAX_VERTICES}")
         if not 0.0 <= self.density <= 1.0:
             raise ValueError("density must be in [0, 1]")
+        if self.n * (self.n - 1) * self.density > MAX_EDGES:
+            raise ValueError(f"n * (n - 1) * density must be <= {MAX_EDGES} expected edges")
         if self.weight_lo < 1:
             raise ValueError("weight_lo must be >= 1")
         if self.weight_hi < self.weight_lo:
@@ -66,22 +68,18 @@ def _derived_seed(seed: int, index: int) -> int:
 def generate_graph(spec: GraphSpec, index: int) -> Graph:
     """Deterministic function of (spec, index); always a valid graph."""
     rng = random.Random(_derived_seed(spec.seed, index))
-    rows = []
+    adjacency = []
     for i in range(spec.n):
-        row = []
+        out = []
         for j in range(spec.n):
-            if i == j:
-                row.append(Weight.zero())
-            elif rng.random() < spec.density:
+            if i != j and rng.random() < spec.density:
                 if rng.random() < spec.tie_bias:
                     w = spec.weight_lo
                 else:
                     w = rng.randint(spec.weight_lo, spec.weight_hi)
-                row.append(Weight.finite(w))
-            else:
-                row.append(INFINITY)
-        rows.append(tuple(row))
-    return Graph(spec.n, tuple(rows))
+                out.append((j + 1, Weight.finite(w)))
+        adjacency.append(tuple(out))
+    return Graph(spec.n, tuple(adjacency))
 
 
 @dataclass(frozen=True)
@@ -257,16 +255,6 @@ def report_to_json(report: RunReport, include_timings: bool = False) -> str:
     Wall-clock timings are omitted by default so that repeated runs with the
     same seeds serialize byte-identically.
     """
-    def spec_dict(spec: GraphSpec) -> dict:
-        return {
-            "n": spec.n,
-            "density": spec.density,
-            "weight_lo": spec.weight_lo,
-            "weight_hi": spec.weight_hi,
-            "tie_bias": spec.tie_bias,
-            "seed": spec.seed,
-        }
-
     def result_dict(result: StrategyResult) -> dict:
         d = {
             "distances": [str(w) for w in result.final_distances],
@@ -280,7 +268,7 @@ def report_to_json(report: RunReport, include_timings: bool = False) -> str:
 
     payload = {
         "config": {
-            "specs": [spec_dict(s) for s in report.specs],
+            "specs": [asdict(s) for s in report.specs],
             "graphs_per_spec": report.graphs_per_spec,
             "source": report.source,
             "target": report.target,

@@ -17,7 +17,7 @@ import click
 from . import bench as bench_mod
 from . import render
 from .errors import PathlabError
-from .graph import Graph, parse_edge_list, parse_matrix_text
+from .graph import Graph, check_size, parse_edge_list, parse_matrix_text
 from .labeling import Strategy, run_classic, run_modified
 from .oracle import bellman_ford
 from .tree import build_tree_matrix, extract_path
@@ -110,6 +110,7 @@ def path_cmd(graph_file, source, target, algo):
     """Print the route to the target and the shortest-path-tree matrix."""
     try:
         g = _load_graph(graph_file)
+        check_size(g.n)  # before the run: the tree matrix printed is n by n
         result = _run_algo(g, algo, source, target, stop_at_target=False)
         tree = build_tree_matrix(g, result)
         route = extract_path(tree, target)

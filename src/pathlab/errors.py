@@ -32,8 +32,9 @@ class SelfLoop(PathlabError):
 
 
 class GraphTooLarge(PathlabError):
-    """The graph exceeds a size limit: ``MAX_VERTICES`` for any checked graph,
-    or the smaller limit of an exhaustive operation."""
+    """The graph exceeds a size limit: ``MAX_VERTICES`` for a dense matrix,
+    the vertex or edge budget of an edge list, or the smaller limit of an
+    exhaustive operation."""
 
 
 class FrontierNotPermanent(PathlabError):

@@ -1,18 +1,22 @@
-"""Weighted digraph stored as an n-by-n matrix, plus its parsers.
+"""Weighted digraph stored as out-adjacency lists, plus its parsers.
 
-Entry (i, j) is the weight of the directed edge i -> j: zero on the diagonal,
-strictly positive for a real edge, INFINITY where no edge exists. Vertex ids
-are 1-based everywhere in the public API. Out-adjacency lists, which the
-labeling engine and :meth:`Graph.edges` walk, are derived from the matrix on
-first use.
+A graph stores, for each vertex u, its out-edges (v, weight) by ascending v,
+each weight exact and strictly positive. Vertex ids are 1-based everywhere in
+the public API. The matrix view, whose entry (i, j) is the weight of edge
+i -> j, zero on the diagonal and INFINITY where no edge exists, is derived:
+:meth:`Graph.weight` reads one entry in O(1) from per-vertex dicts built on
+first use, and :attr:`Graph.weights` builds the whole matrix only for callers
+that print it. So an edge list costs O(n + m) to parse and to store, and a
+matrix file O(n²) only because it has n² tokens.
 
-Each input form has one checking path. ``Graph(n, weights)`` is the trusted
-constructor: it checks the matrix shape but not the entries, and is meant
-for matrices built by code that already holds the invariants (the random
-generator, the parsers). :meth:`Graph.from_edges` checks every edge and is the
-path of edge lists, parsed or programmatic. :func:`parse_matrix_text` checks
-the matrix file it reads. The dense matrix costs n² cells, so every checking
-path refuses n above ``MAX_VERTICES`` before allocating it.
+Each input form has one checking path. ``Graph(n, adjacency)`` and
+:meth:`Graph.from_matrix` are trusted constructors for code that already holds
+the invariants (the random generator, the parsers): they check the shape, not
+the weights. :meth:`Graph.from_edges` checks every edge and is the path of
+edge lists, parsed or programmatic. :func:`parse_matrix_text` checks the
+matrix file it reads. Before allocating, matrix files and the matrix view
+refuse n above ``MAX_VERTICES``, and edge lists refuse more than
+``MAX_SPARSE_VERTICES`` vertices or ``MAX_EDGES`` edges.
 
 File formats
 ------------
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import compress
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -44,24 +49,51 @@ from .errors import (
 )
 from .weights import INFINITY, Weight
 
-# Most vertices a checked graph may have. The dense matrix grows as n²: at
-# the cap, building it from a header alone takes about 0.8 s and 260 MiB
-# (CPython 3.11 on a 2-vCPU VM), so no file can ask for more.
+# Most vertices of a graph held, or shown, as an n-by-n matrix: matrix files,
+# generated graphs, ``Graph.weights`` and the printed tree matrix. At the cap a
+# matrix of references takes about 0.8 s and 260 MiB to build (CPython 3.11 on
+# a 2-vCPU VM).
 MAX_VERTICES = 4000
+# Budgets of edge lists, which cost about 100 bytes per edge and 200 per
+# vertex to store.
+MAX_SPARSE_VERTICES = 1_000_000
+MAX_EDGES = 2_000_000
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable weighted digraph; safe to share across concurrent readers."""
+    """Immutable weighted digraph; safe to share across concurrent readers.
+
+    ``adjacency[u - 1]`` lists the out-edges of vertex u as (v, weight) pairs
+    by ascending v, with finite positive weights. Equality and hash compare
+    n and the adjacency.
+    """
 
     n: int
-    weights: tuple[tuple[Weight, ...], ...]
+    adjacency: tuple[tuple[tuple[int, Weight], ...], ...]
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
-        if len(self.weights) != self.n or any(len(row) != self.n for row in self.weights):
-            raise ValueError(f"weight matrix must be {self.n}x{self.n}")
+        if len(self.adjacency) != self.n:
+            raise ValueError(f"adjacency must list {self.n} vertices")
+
+    @classmethod
+    def from_matrix(cls, n: int, rows) -> "Graph":
+        """Trusted constructor from an n-by-n matrix: checks the shape only.
+
+        Entry (i, j) off the diagonal is an edge when finite; the diagonal is
+        ignored. For matrices built by code that already holds the invariants.
+        """
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise ValueError(f"weight matrix must be {n}x{n}")
+        return cls(
+            n,
+            tuple(
+                tuple((j, w) for j, w in enumerate(row, start=1) if j != i and w.is_finite)
+                for i, row in enumerate(rows, start=1)
+            ),
+        )
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
@@ -69,28 +101,30 @@ class Graph:
     def contains_vertex(self, v: int) -> bool:
         return 1 <= v <= self.n
 
+    @cached_property
+    def _out(self) -> tuple[dict[int, Weight], ...]:
+        return tuple(map(dict, self.adjacency))
+
     def weight(self, u: int, v: int) -> Weight:
+        """Matrix entry (u, v): zero on the diagonal, INFINITY for no edge."""
         check_vertex(self, u)
         check_vertex(self, v)
-        return self.weights[u - 1][v - 1]
+        if u == v:
+            return Weight.zero()
+        return self._out[u - 1].get(v, INFINITY)
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, Weight], ...], ...]:
-        """Out-edges of vertex u at index u - 1, as (v, weight) by ascending v.
-
-        Built from the matrix on first use and kept on the instance.
-        """
+    def weights(self) -> tuple[tuple[Weight, ...], ...]:
+        """The n-by-n matrix; raises GraphTooLarge above ``MAX_VERTICES``."""
+        check_size(self.n)
+        zero = Weight.zero()
         return tuple(
-            tuple(
-                (j + 1, w)
-                for j, w in enumerate(row)
-                if w is not INFINITY and j != i and w.is_finite
-            )
-            for i, row in enumerate(self.weights)
+            tuple(zero if u == v else out.get(v, INFINITY) for v in self.vertices())
+            for u, out in enumerate(self._out, start=1)
         )
 
     def edges(self) -> Iterator[tuple[int, int, Weight]]:
-        """Finite off-diagonal entries as (u, v, weight), row-major."""
+        """Every edge as (u, v, weight), by ascending u, then v."""
         for u, out in enumerate(self.adjacency, start=1):
             for v, w in out:
                 yield u, v, w
@@ -102,28 +136,27 @@ class Graph:
         A weight is a Weight or anything ``Weight.finite`` takes. Edges are
         checked in order, and the first bad one raises VertexOutOfRange,
         SelfLoop, DuplicateEdge, MalformedInput (an INFINITY weight) or
-        NegativeOrZeroWeight. Raises GraphTooLarge above ``MAX_VERTICES``.
+        NegativeOrZeroWeight. Raises GraphTooLarge above
+        ``MAX_SPARSE_VERTICES``.
         """
-        _check_size(n)
-        zero = Weight.zero()
-        rows = [[INFINITY] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = zero
+        check_size(n, MAX_SPARSE_VERTICES)
+        out: list[dict[int, Weight]] = [{} for _ in range(n)]
         for u, v, w in edges:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise VertexOutOfRange(f"edge ({u},{v}) outside 1..{n}")
             if u == v:
                 raise SelfLoop(f"self loop at vertex {u}")
-            if rows[u - 1][v - 1] is not INFINITY:
+            row = out[u - 1]
+            if v in row:
                 raise DuplicateEdge(f"edge ({u},{v}) listed twice")
             if not isinstance(w, Weight):
                 w = Weight.finite(w)
             if w.is_infinite:
                 raise MalformedInput(f"edge ({u},{v}) has weight INF")
-            if w <= zero:
+            if w.fraction.numerator <= 0:
                 raise NegativeOrZeroWeight(f"edge ({u},{v}) has non-positive weight {w}")
-            rows[u - 1][v - 1] = w
-        return cls(n, tuple(tuple(row) for row in rows))
+            row[v] = w
+        return cls(n, tuple(tuple(sorted(row.items())) for row in out))
 
 
 def check_vertex(g: Graph, v: int) -> None:
@@ -131,9 +164,11 @@ def check_vertex(g: Graph, v: int) -> None:
         raise VertexOutOfRange(f"vertex {v} outside 1..{g.n}")
 
 
-def _check_size(n: int) -> None:
-    if n > MAX_VERTICES:
-        raise GraphTooLarge(f"{n} vertices exceed the limit of {MAX_VERTICES}")
+def check_size(count: int, limit: int = MAX_VERTICES, what: str = "vertices") -> None:
+    """Raise GraphTooLarge when ``count`` exceeds ``limit``; by default, when
+    an n-by-n matrix exceeds ``MAX_VERTICES``."""
+    if count > limit:
+        raise GraphTooLarge(f"{count} {what} exceed the limit of {limit}")
 
 
 def _content_lines(text: str) -> list[str]:
@@ -160,43 +195,45 @@ def parse_matrix_text(text: str) -> Graph:
         raise MalformedInput(f"vertex count is not an integer: {tokens[0]!r}") from None
     if n < 1:
         raise MalformedInput(f"vertex count must be >= 1, got {n}")
-    _check_size(n)
+    check_size(n)
     entries = tokens[1:]
     if len(entries) != n * n:
         raise MalformedInput(f"expected {n * n} matrix entries, found {len(entries)}")
-    # Each distinct token is parsed once per call, and equal tokens share one
-    # Weight.
-    weight_of = cache(Weight.from_token)
-    rows = []
-    for i in range(n):
+    # Each distinct token is parsed once, in order of first appearance, so the
+    # first malformed one is the first in row-major order. Equal tokens share
+    # one Weight.
+    weight_of: dict[str, Weight] = {}
+    for t in dict.fromkeys(entries):
         try:
-            rows.append(tuple(map(weight_of, entries[i * n : (i + 1) * n])))
+            weight_of[t] = Weight.from_token(t)
         except ValueError as exc:
-            raise MalformedInput(f"row {i + 1}: {exc}") from None
-    # The sign of each distinct token is checked once. A row is then fine
-    # when its diagonal is zero and no off-diagonal token is non-positive.
+            raise MalformedInput(f"row {entries.index(t) // n + 1}: {exc}") from None
     zero = Weight.zero()
-    non_positive = {t for t in set(entries) if weight_of(t) <= zero}
-    for i, row in enumerate(rows):
-        start = i * n
+    non_positive = {t for t, w in weight_of.items() if w <= zero}
+    is_finite = {t for t, w in weight_of.items() if w.is_finite}.__contains__
+    # A row is fine when its diagonal is zero and no off-diagonal token is
+    # non-positive, which set operations check at C speed; a row that is not
+    # is scanned for its first violation. Its out-edges are its finite
+    # off-diagonal tokens.
+    adjacency = []
+    for i in range(n):
+        row = entries[i * n : (i + 1) * n]
+        diagonal = weight_of[row[i]]
         if (
-            row[i] != zero
-            or not non_positive.isdisjoint(entries[start : start + i])
-            or not non_positive.isdisjoint(entries[start + i + 1 : start + n])
+            diagonal != zero
+            or not non_positive.isdisjoint(row[:i])
+            or not non_positive.isdisjoint(row[i + 1 :])
         ):
-            _raise_first_violation(i + 1, row)
-    return Graph(n, tuple(rows))
-
-
-def _raise_first_violation(i: int, row: tuple[Weight, ...]) -> None:
-    """Raise for the first bad entry of row i, which has one."""
-    zero = Weight.zero()
-    for j, w in enumerate(row, start=1):
-        if i == j:
-            if w != zero:
-                raise DiagonalNonZero(f"DiagonalNonZero at ({i},{j}): {w}")
-        elif w <= zero:
-            raise NegativeOrZeroWeight(f"NegativeOrZeroWeight at ({i},{j}): {w}")
+            for j in compress(range(n), map(non_positive.__contains__, row)):
+                if j > i and diagonal != zero:
+                    break
+                if j != i:
+                    w = weight_of[row[j]]
+                    raise NegativeOrZeroWeight(f"NegativeOrZeroWeight at ({i + 1},{j + 1}): {w}")
+            raise DiagonalNonZero(f"DiagonalNonZero at ({i + 1},{i + 1}): {diagonal}")
+        finite = compress(range(n), map(is_finite, row))
+        adjacency.append(tuple([(j + 1, weight_of[row[j]]) for j in finite if j != i]))
+    return Graph(n, tuple(adjacency))
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -219,6 +256,7 @@ def parse_edge_list(text: str) -> Graph:
         raise MalformedInput(f"vertex count must be >= 1, got {n}")
     if m < 0:
         raise MalformedInput(f"edge count must be >= 0, got {m}")
+    check_size(m, MAX_EDGES, "edges")
     body = lines[1:]
     if len(body) != m:
         raise MalformedInput(f"expected {m} edge lines, found {len(body)}")

@@ -12,12 +12,12 @@ permanent. The three selection strategies differ only in the batch:
   settle labels that are not yet optimal, so callers must oracle-check it
   (see the counterexample fixture).
 
-The run engine relaxes only the out-edges of the frontier (``Graph.adjacency``)
-and selects from a lazy-deletion heap keyed ``(exact value, vertex id)``: the
-heap top is the lowest id at the minimum, a tie batch is the run of entries
-sharing the top value (a Dial bucket), and entries left behind by a later
-improvement or a settle are skipped when they surface. STABLE_BATCH also keeps
-the set of finite temporary labels.
+The run engine relaxes only the out-edges of the frontier, read from the
+graph's stored ``Graph.adjacency``, and selects from a lazy-deletion heap keyed
+``(exact value, vertex id)``: the heap top is the lowest id at the minimum, a
+tie batch is the run of entries sharing the top value (a Dial bucket), and
+entries left behind by a later improvement or a settle are skipped when they
+surface. STABLE_BATCH also keeps the set of finite temporary labels.
 
 Every round is recorded with a label snapshot so runs can be replayed,
 rendered, and regression-tested against golden traces. A label state stores
@@ -25,13 +25,10 @@ three lists: values, predecessor sets and settling rounds; a vertex is
 permanent exactly when its settling round is set, so its status is derived,
 not stored. Predecessor sets are immutable ``frozenset``s that a change
 replaces rather than mutates, so a snapshot is three list copies that share
-the sets and weights with the live state. A run costs O(m log m) for
+the sets and weights with the live state. A run costs O(n + m log m) for
 relaxation and selection, plus O(n) list copying per round for the
-snapshots. Because the snapshots share those objects, a vertex's row changes
-only when its label does: the renderers in :mod:`pathlab.render` format each
-distinct row once per call, so their formatting work follows the number of
-label changes, and only the per-cell lookups and the joins of the output
-stay O(n) per round.
+snapshots, which is O(n²) over the up to n - 1 rounds of SINGLE_MIN; a run
+raises GraphTooLarge rather than let them pass ``MAX_SNAPSHOT_CELLS``.
 
 :func:`relax_step` and :func:`select_permanent` perform one relax and one
 select move over a whole ``LabelState``; they are the straightforward
@@ -47,8 +44,13 @@ from fractions import Fraction
 from heapq import heappop, heappush
 
 from .errors import FrontierNotPermanent, VertexOutOfRange
-from .graph import Graph, check_vertex
+from .graph import MAX_VERTICES, Graph, check_size, check_vertex
 from .weights import INFINITY, Weight
+
+# Most label cells (n per round) a run's snapshots may hold, about 24 bytes
+# each: every run on a graph within the dense cap fits, and a larger edge list
+# gets GraphTooLarge once its trace would outgrow them.
+MAX_SNAPSHOT_CELLS = MAX_VERTICES**2
 
 
 class Status(enum.Enum):
@@ -389,6 +391,7 @@ def _run(
         if strategy is Strategy.STABLE_BATCH:
             newly |= finite_temporary - changed
         round_index = len(rounds) + 1
+        check_size(round_index * g.n, MAX_SNAPSHOT_CELLS, "snapshot label cells")
         for v in newly:
             labels.settle(v, round_index)
         finite_temporary -= newly

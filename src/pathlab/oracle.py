@@ -2,12 +2,16 @@
 
 Two deliberately unrelated oracles back the labeling engines: an iterative
 edge-sweep (Bellman-Ford) and a combinatorial search over simple paths. A bug
-would have to hit both to validate a wrong answer.
+would have to hit both to validate a wrong answer. Both walk the graph's
+out-edges only: a sweep costs O(m) integer additions, and the search follows
+out-edges of the path's last vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from .errors import GraphTooLarge
 from .graph import Graph, check_vertex
@@ -25,21 +29,38 @@ class OracleResult:
 
 
 def bellman_ford(g: Graph, source: int) -> OracleResult:
-    """Exact single-source distances via at most n-1 full relaxation sweeps."""
+    """Exact single-source distances via at most n-1 full relaxation sweeps.
+
+    Each sweep walks the edges in row-major order, skipping tails not reached
+    yet, and a sweep that changes nothing ends the run. Sums are exact
+    integers: weights are scaled by the lcm of their denominators.
+    """
     check_vertex(g, source)
-    dist: list[Weight] = [INFINITY] * g.n
-    dist[source - 1] = Weight.zero()
-    edges = list(g.edges())
+    scale = lcm(*(w.fraction.denominator for _, _, w in g.edges()))
+    tails = [
+        (u, [(v - 1, w.fraction.numerator * (scale // w.fraction.denominator)) for v, w in out])
+        for u, out in enumerate(g.adjacency)
+        if out
+    ]
+    dist: list[int | None] = [None] * g.n
+    dist[source - 1] = 0
     for _ in range(g.n - 1):
         improved = False
-        for u, v, w in edges:
-            candidate = dist[u - 1] + w
-            if candidate < dist[v - 1]:
-                dist[v - 1] = candidate
-                improved = True
+        for u, out in tails:
+            base = dist[u]
+            if base is None:
+                continue
+            for v, w in out:
+                candidate = base + w
+                old = dist[v]
+                if old is None or candidate < old:
+                    dist[v] = candidate
+                    improved = True
         if not improved:
             break
-    return OracleResult(tuple(dist))
+    return OracleResult(
+        tuple(INFINITY if d is None else Weight(Fraction(d, scale)) for d in dist)
+    )
 
 
 def enumerate_min_path(
@@ -67,11 +88,8 @@ def enumerate_min_path(
 
     def visit(v: int, total: Weight, path: tuple[int, ...], visited: frozenset[int]):
         nonlocal best, best_vertices
-        for u in g.vertices():
+        for u, w in g.adjacency[v - 1]:
             if u in visited:
-                continue
-            w = g.weight(v, u)
-            if w.is_infinite:
                 continue
             extended = total + w
             if u == target:

@@ -32,6 +32,7 @@ from typing import Callable
 
 from .bench import ComparisonRecord
 from .errors import MalformedInput
+from .graph import check_size
 from .labeling import LabelState, RoundRecord, RunTrace, Status, Strategy
 from .oracle import OracleResult
 from .tree import TreeMatrix
@@ -235,7 +236,8 @@ def trace_from_json(text: str) -> RunTrace:
     value of the wrong type, an unknown strategy or status, an out-of-range
     vertex, or label lists whose lengths differ, or when a field it derives
     disagrees with the document: the algorithm, either round count, the
-    final distances, or a status given its settled_round.
+    final distances, a status given its settled_round, or a round record
+    given its position and the final settled rounds.
     """
     try:
         data = json.loads(text)
@@ -264,6 +266,7 @@ def trace_from_json(text: str) -> RunTrace:
             raise ValueError("rounds_count_incl_source is not rounds_count + 1")
         if tuple(map(load.weight, final_distances)) != trace.final_distances:
             raise ValueError("final_distances disagree with the final_labels values")
+        _check_rounds(trace)
         return trace
     except KeyError as exc:
         raise MalformedInput(f"malformed trace: missing key {exc}") from None
@@ -271,12 +274,35 @@ def trace_from_json(text: str) -> RunTrace:
         raise MalformedInput(f"malformed trace: {exc}") from None
 
 
+def _check_rounds(trace: RunTrace) -> None:
+    """Raise ValueError unless round 0 settles the source alone and round k
+    has index k, relaxes from round k - 1's batch and settles the vertices
+    whose final settled_round is k. O(n + the batch sizes)."""
+    batches: list[list[int]] = [[] for _ in range(len(trace.rounds) + 1)]
+    for v, r in enumerate(trace.final_labels.columns()[2], start=1):
+        if r is not None:
+            if not 0 <= r < len(batches):
+                raise ValueError(f"vertex {v} settles in round {r}, which is not listed")
+            batches[r].append(v)
+    if batches[0] != [trace.source]:
+        raise ValueError("only the source settles in round 0")
+    sets = list(map(frozenset, batches))
+    expected = list(zip(range(1, len(sets)), sets, sets[1:]))
+    if [(r.round_index, r.frontier, r.newly_permanent) for r in trace.rounds] != expected:
+        raise ValueError("a round record disagrees with its position or the final settled rounds")
+
+
 def render_tree_matrix(t: TreeMatrix) -> str:
-    """Matrix-format rendering: n, then rows of weights with 0 for no link."""
-    lines = [str(t.n)]
-    for u in range(1, t.n + 1):
-        lines.append(" ".join(str(t.weight(u, v)) for v in range(1, t.n + 1)))
-    return "\n".join(lines) + "\n"
+    """Matrix-format rendering: n, then rows of weights with 0 for no link.
+
+    Raises GraphTooLarge above ``MAX_VERTICES``.
+    """
+    check_size(t.n)
+    rows = [["0"] * t.n for _ in range(t.n)]
+    for v, (u, w) in enumerate(zip(t.parents, t.parent_weights)):
+        if u is not None:
+            rows[u - 1][v] = str(w)
+    return "\n".join([str(t.n)] + [" ".join(row) for row in rows]) + "\n"
 
 
 def render_oracle_text(result: OracleResult) -> str:

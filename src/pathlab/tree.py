@@ -4,6 +4,8 @@ Entry (i, j) of the tree matrix holds the edge weight when i is the chosen
 parent of j in the shortest-path tree, zero otherwise. Real edges are
 strictly positive, so zero unambiguously means "no link". Under equal-length
 alternatives the lowest predecessor id is chosen, deterministically.
+The tree stores one parent link per vertex, so :func:`extract_path` costs
+O(depth); only :func:`pathlab.render.render_tree_matrix` builds the matrix.
 """
 
 from __future__ import annotations
@@ -18,27 +20,36 @@ from .weights import INFINITY, Weight
 
 @dataclass(frozen=True)
 class TreeMatrix:
+    """Parent links of a shortest-path tree, vertex v at index v - 1.
+
+    ``parents[v - 1]`` is the parent of v, or None for the source and for
+    vertices with no parent; ``parent_weights[v - 1]`` is the weight of the
+    edge from that parent, or None. The matrix entries are derived.
+    """
+
     n: int
     source: int
-    entries: tuple[tuple[Weight, ...], ...]
+    parents: tuple[int | None, ...]
+    parent_weights: tuple[Weight | None, ...]
 
     def weight(self, u: int, v: int) -> Weight:
-        return self.entries[u - 1][v - 1]
+        """Entry (u, v): the edge weight when u is the parent of v, else zero."""
+        if self.parents[v - 1] == u:
+            return self.parent_weights[v - 1]
+        return Weight.zero()
 
     def parent(self, v: int) -> int | None:
         """The unique i with a nonzero (i, v) entry, or None for no parent."""
-        for u in range(1, self.n + 1):
-            if self.entries[u - 1][v - 1] != Weight.zero():
-                return u
-        return None
+        return self.parents[v - 1]
 
     def nonzero(self) -> dict[tuple[int, int], Weight]:
-        return {
-            (u, v): self.entries[u - 1][v - 1]
-            for u in range(1, self.n + 1)
-            for v in range(1, self.n + 1)
-            if self.entries[u - 1][v - 1] != Weight.zero()
-        }
+        return dict(
+            sorted(
+                ((u, v), w)
+                for v, (u, w) in enumerate(zip(self.parents, self.parent_weights), start=1)
+                if u is not None
+            )
+        )
 
 
 @dataclass(frozen=True)
@@ -67,14 +78,15 @@ def build_tree_matrix(g: Graph, trace: RunTrace, strict: bool = False) -> TreeMa
     labels = trace.final_labels
     if strict and trace.target is not None and not labels.is_permanent(trace.target):
         raise UnsettledVertex(f"target {trace.target} was never settled")
-    zero = Weight.zero()
-    entries = [[zero] * g.n for _ in range(g.n)]
+    parents: list[int | None] = [None] * g.n
+    weights: list[Weight | None] = [None] * g.n
+    _, preds, settled = labels.columns()
     for j in g.vertices():
-        if j == trace.source or not labels.is_permanent(j):
+        if j == trace.source or settled[j - 1] is None:
             continue
-        parent = min(labels.predecessors(j))
-        entries[parent - 1][j - 1] = g.weight(parent, j)
-    return TreeMatrix(g.n, trace.source, tuple(tuple(row) for row in entries))
+        parent = parents[j - 1] = min(preds[j - 1])
+        weights[j - 1] = g.weight(parent, j)
+    return TreeMatrix(g.n, trace.source, tuple(parents), tuple(weights))
 
 
 def extract_path(t: TreeMatrix, target: int) -> Route:
@@ -95,6 +107,6 @@ def extract_path(t: TreeMatrix, target: int) -> Route:
         current = parent
     chain.reverse()
     total = Weight.zero()
-    for u, v in zip(chain, chain[1:]):
-        total = total + t.weight(u, v)
+    for v in chain[1:]:
+        total = total + t.parent_weights[v - 1]
     return Route(tuple(chain), total)

@@ -105,7 +105,12 @@ class Weight:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._value == other._value
+        a, b = self._value, other._value
+        if a is None or b is None:
+            return a is b
+        # In lowest terms with a positive denominator, equal values have equal
+        # pairs; comparing them skips Fraction's numbers.Rational checks.
+        return a.numerator == b.numerator and a.denominator == b.denominator
 
     def __hash__(self) -> int:
         if self._value is None:
@@ -116,11 +121,12 @@ class Weight:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self._value is None:
+        a, b = self._value, other._value
+        if a is None:
             return False
-        if other._value is None:
+        if b is None:
             return True
-        return self._value < other._value
+        return a.numerator * b.denominator < b.numerator * a.denominator
 
     def __str__(self) -> str:
         if self._value is None:

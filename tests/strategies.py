@@ -1,5 +1,7 @@
 """Hypothesis strategies shared across property tests, and the reference
-graph-invariant checker."""
+implementations that faster library code is checked against: the graph
+invariant checker, the tree matrix's column scan and the Weight-wrapped
+Bellman-Ford sweep."""
 
 from __future__ import annotations
 
@@ -30,7 +32,9 @@ def exact_weights(draw) -> Weight:
 
 
 @st.composite
-def graphs(draw, max_n: int = 6, weights=finite_weights) -> Graph:
+def matrices(draw, max_n: int = 6, weights=finite_weights) -> tuple[int, tuple]:
+    """(n, rows): an n-by-n matrix with a zero diagonal and, off it, drawn
+    weights or INFINITY."""
     n = draw(st.integers(min_value=1, max_value=max_n))
     rows = []
     for i in range(n):
@@ -43,7 +47,12 @@ def graphs(draw, max_n: int = 6, weights=finite_weights) -> Graph:
             else:
                 row.append(INFINITY)
         rows.append(tuple(row))
-    return Graph(n, tuple(rows))
+    return n, tuple(rows)
+
+
+@st.composite
+def graphs(draw, max_n: int = 6, weights=finite_weights) -> Graph:
+    return Graph.from_matrix(*draw(matrices(max_n, weights)))
 
 
 # The reference invariant checker: every cell, one at a time. The parsers
@@ -63,15 +72,64 @@ class Violation:
         return f"{self.kind.__name__} at ({self.row},{self.col}): {self.value}"
 
 
-def validate(g: Graph) -> list[Violation]:
-    """Every invariant violation in row-major order; empty means ok."""
+def validate(rows) -> list[Violation]:
+    """Every invariant violation of the n-by-n matrix ``rows`` (a
+    ``Graph.weights``, say) in row-major order; empty means ok."""
     violations = []
-    for i in g.vertices():
-        for j in g.vertices():
-            w = g.weights[i - 1][j - 1]
+    for i, row in enumerate(rows, start=1):
+        for j, w in enumerate(row, start=1):
             if i == j:
                 if w != Weight.zero():
                     violations.append(Violation(DiagonalNonZero, i, j, w))
             elif w.is_finite and w <= Weight.zero():
                 violations.append(Violation(NegativeOrZeroWeight, i, j, w))
     return violations
+
+
+def matrix_adjacency(rows) -> tuple:
+    """Out-edges of an n-by-n matrix: the finite off-diagonal entries of each
+    row as (column, weight), by ascending column."""
+    return tuple(
+        tuple((j, w) for j, w in enumerate(row, start=1) if i != j and w.is_finite)
+        for i, row in enumerate(rows, start=1)
+    )
+
+
+def reference_tree_entries(g: Graph, trace) -> list[list[Weight]]:
+    """The n-by-n tree matrix built cell by cell: entry (p, j) is the weight
+    of the edge from p, the lowest predecessor of each settled non-source j;
+    every other entry is zero."""
+    labels = trace.final_labels
+    entries = [[Weight.zero()] * g.n for _ in range(g.n)]
+    for j in g.vertices():
+        if j != trace.source and labels.is_permanent(j):
+            parent = min(labels.predecessors(j))
+            entries[parent - 1][j - 1] = g.weight(parent, j)
+    return entries
+
+
+def column_scan_parent(entries: list[list[Weight]], v: int) -> int | None:
+    """The unique i with a nonzero (i, v) entry, found by scanning column v,
+    or None for no parent."""
+    for u in range(1, len(entries) + 1):
+        if entries[u - 1][v - 1] != Weight.zero():
+            return u
+    return None
+
+
+def weight_sweep_bellman_ford(g: Graph, source: int) -> tuple[Weight, ...]:
+    """Bellman-Ford over ``Weight`` values: every edge, row-major, in every
+    sweep, until a sweep changes nothing."""
+    dist: list[Weight] = [INFINITY] * g.n
+    dist[source - 1] = Weight.zero()
+    edges = list(g.edges())
+    for _ in range(g.n - 1):
+        improved = False
+        for u, v, w in edges:
+            candidate = dist[u - 1] + w
+            if candidate < dist[v - 1]:
+                dist[v - 1] = candidate
+                improved = True
+        if not improved:
+            break
+    return tuple(dist)

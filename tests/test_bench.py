@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib.util
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +10,8 @@ import pytest
 import pathlab
 import pathlab.render
 from pathlab import (
+    INFINITY,
+    Graph,
     GraphSpec,
     RunReport,
     Strategy,
@@ -22,8 +25,8 @@ from pathlab import (
     report_to_json,
     run_suite,
 )
-from pathlab.bench import CSV_HEADER
-from pathlab.graph import MAX_VERTICES
+from pathlab.bench import CSV_HEADER, _derived_seed
+from pathlab.graph import MAX_EDGES, MAX_VERTICES
 
 from .strategies import validate
 
@@ -60,14 +63,21 @@ class TestGraphSpec:
         with pytest.raises(ValueError):
             spec(n=0)
         with pytest.raises(ValueError, match=str(MAX_VERTICES)):
-            spec(n=MAX_VERTICES + 1)
-        assert spec(n=MAX_VERTICES).n == MAX_VERTICES
+            spec(n=MAX_VERTICES + 1, density=0.0)
+        assert spec(n=MAX_VERTICES, density=0.1).n == MAX_VERTICES
+        # the expected edge count n * (n - 1) * density has its own budget
+        with pytest.raises(ValueError, match=str(MAX_EDGES)):
+            spec(n=MAX_VERTICES, density=1.0)
+        complete = max(n for n in range(1, MAX_VERTICES) if n * (n - 1) <= MAX_EDGES)
+        assert spec(n=complete, density=1.0).n == complete
+        with pytest.raises(ValueError, match=str(MAX_EDGES)):
+            spec(n=complete + 1, density=1.0)
 
 
 class TestGenerateGraph:
     def test_complete_digraph_passes_validation(self):
         g = generate_graph(spec(), 0)
-        assert validate(g) == []
+        assert validate(g.weights) == []
         assert sum(1 for _ in g.edges()) == 8 * 7
 
     def test_full_tie_bias_forces_minimum_weight(self):
@@ -83,6 +93,27 @@ class TestGenerateGraph:
     def test_density_zero_is_edgeless(self):
         g = generate_graph(spec(density=0.0), 0)
         assert list(g.edges()) == []
+
+    @pytest.mark.parametrize("density, tie_bias", [(0.3, 0.0), (0.7, 0.9), (1.0, 1.0)])
+    def test_random_draws_are_those_of_the_matrix_generator(self, density, tie_bias):
+        # the generator draws its random numbers cell by cell, row-major, and
+        # none on the diagonal: the order of the matrix it used to build
+        s = spec(n=7, density=density, tie_bias=tie_bias, seed=11)
+        for index in range(5):
+            rng = random.Random(_derived_seed(s.seed, index))
+            rows = []
+            for i in range(s.n):
+                row = []
+                for j in range(s.n):
+                    if i == j:
+                        row.append(Weight.zero())
+                    elif rng.random() < s.density:
+                        w = s.weight_lo if rng.random() < s.tie_bias else rng.randint(1, 9)
+                        row.append(Weight.finite(w))
+                    else:
+                        row.append(INFINITY)
+                rows.append(row)
+            assert generate_graph(s, index) == Graph.from_matrix(s.n, rows)
 
     def test_weights_stay_in_domain(self):
         g = generate_graph(spec(density=0.5, weight_lo=3, weight_hi=5, seed=9), 1)

@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from pathlab import cli, labeling
 from pathlab.cli import main
-from pathlab.graph import MAX_VERTICES
+from pathlab.graph import MAX_EDGES, MAX_SPARSE_VERTICES, MAX_VERTICES
 
 from .conftest import fixture_path
 from .test_render import GOLDEN_FINAL_TABLE
@@ -191,6 +192,21 @@ class TestPath:
         assert result.exit_code == 0
         assert "route: no path (INF)" in result.stdout
 
+    def test_graph_above_the_dense_cap_fails_before_the_run(self, runner, tmp_path, monkeypatch):
+        graph = tmp_path / "wide.edges"
+        graph.write_text(f"{MAX_VERTICES + 1} 1\n1 2 1\n")
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("path ran the algorithm")
+
+        monkeypatch.setattr(cli, "_run_algo", no_run)
+        result = runner.invoke(main, ["path", str(graph), "--source", "1", "--target", "2"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: {MAX_VERTICES + 1} vertices exceed the limit of {MAX_VERTICES}\n"
+        )
+
 
 class TestCompare:
     def test_counterexample_reports_unsound(self, runner):
@@ -216,7 +232,9 @@ class TestOracle:
         assert result.exit_code == 0
         assert "   3 | 3" in result.stdout
 
-    @pytest.mark.parametrize("name, text", [("big.edges", "100000 0\n"), ("big.mat", "100000\n")])
+    @pytest.mark.parametrize(
+        "name, text", [("big.edges", f"{10**9} 0\n"), ("big.mat", "100000\n")]
+    )
     def test_vertex_count_above_the_limit_is_input_error(self, runner, tmp_path, name, text):
         graph = tmp_path / name
         graph.write_text(text)
@@ -224,7 +242,38 @@ class TestOracle:
         result = runner.invoke(main, ["oracle", str(graph), "--source", "1"])
         assert time.perf_counter() - start < 0.5
         assert result.exit_code == 1
-        assert result.stderr == f"error: 100000 vertices exceed the limit of {MAX_VERTICES}\n"
+        n = text.split()[0]
+        limit = MAX_SPARSE_VERTICES if name.endswith(".edges") else MAX_VERTICES
+        assert result.stderr == f"error: {n} vertices exceed the limit of {limit}\n"
+
+    def test_edge_count_above_the_budget_is_input_error(self, runner, tmp_path):
+        graph = tmp_path / "many.edges"
+        graph.write_text(f"2 {10**9}\n")
+        start = time.perf_counter()
+        result = runner.invoke(main, ["oracle", str(graph), "--source", "1"])
+        assert time.perf_counter() - start < 0.5
+        assert result.exit_code == 1
+        assert result.stderr == f"error: {10**9} edges exceed the limit of {MAX_EDGES}\n"
+
+    def test_trace_that_would_outgrow_the_snapshot_budget_is_input_error(
+        self, runner, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(labeling, "MAX_SNAPSHOT_CELLS", 20)
+        graph = tmp_path / "chain.edges"
+        graph.write_text("6 5\n1 2 1\n2 3 1\n3 4 1\n4 5 1\n5 6 1\n")
+        result = runner.invoke(main, ["trace", str(graph), "--source", "1", "--algo", "tiebatch"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: 24 snapshot label cells exceed the limit of 20\n"
+
+    def test_edge_list_above_the_dense_cap_runs(self, runner, tmp_path):
+        n = MAX_VERTICES + 1
+        graph = tmp_path / "wide.edges"
+        graph.write_text(f"{n} 2\n1 {n} 2\n{n} 2 0.5\n")
+        result = runner.invoke(main, ["oracle", str(graph), "--source", "1"])
+        assert result.exit_code == 0
+        assert result.stdout.splitlines()[1:3] == ["   1 | 0", "   2 | 2.5"]
+        assert result.stdout.splitlines()[-1] == f"{n:4d} | 2"
 
     def test_huge_exponent_weight_is_input_error(self, runner, tmp_path):
         # parsed by Fraction, 1e5000 used to fail only when printed
@@ -289,6 +338,20 @@ class TestBench:
         assert time.perf_counter() - start < 0.5
         assert result.exit_code == 2
         assert str(MAX_VERTICES) in result.stderr
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_expected_edges_above_the_budget_is_usage_error(self, runner, tmp_path):
+        start = time.perf_counter()
+        result = runner.invoke(
+            main,
+            [
+                "bench", "--nodes", str(MAX_VERTICES), "--density", "1.0", "--graphs", "1",
+                "--seed", "1", "--out", str(tmp_path / "r.csv"),
+            ],
+        )
+        assert time.perf_counter() - start < 0.5
+        assert result.exit_code == 2
+        assert str(MAX_EDGES) in result.stderr
         assert not (tmp_path / "r.csv").exists()
 
     def test_out_of_range_density_is_usage_error(self, runner, tmp_path):

@@ -22,10 +22,10 @@ from pathlab import (
     parse_matrix_text,
     to_matrix_text,
 )
-from pathlab.graph import MAX_VERTICES
+from pathlab.graph import MAX_EDGES, MAX_SPARSE_VERTICES, MAX_VERTICES
 
 from .conftest import fixture_path
-from .strategies import graphs, validate
+from .strategies import graphs, matrices, matrix_adjacency, validate
 
 
 # Tokens that Fraction accepts, or that are not numbers at all, but that the
@@ -177,12 +177,12 @@ class TestParseEdgeList:
         text = f"{g.n} {len(edges)}\n" + "".join(f"{u} {v} {w}\n" for u, v, w in edges)
         parsed = parse_edge_list(text)
         assert parsed == g
-        assert validate(parsed) == []
+        assert validate(parsed.weights) == []
 
 
 class TestValidate:
     def test_fixture_is_ok(self, paper8):
-        assert validate(paper8) == []
+        assert validate(paper8.weights) == []
 
     def test_reports_negative_weight_position(self):
         with pytest.raises(NegativeOrZeroWeight) as info:
@@ -209,10 +209,10 @@ class TestValidate:
         tokens = st.sampled_from(["0", "-0", "0.0", "-1", "-2.5", "1", "2.5", "INF", "inf"])
         rows = [[data.draw(tokens) for _ in range(n)] for _ in range(n)]
         text = f"{n}\n" + "".join(" ".join(row) + "\n" for row in rows)
-        unchecked = Graph(n, tuple(tuple(map(Weight.from_token, row)) for row in rows))
+        unchecked = tuple(tuple(map(Weight.from_token, row)) for row in rows)
         violations = validate(unchecked)
         if not violations:
-            assert parse_matrix_text(text) == unchecked
+            assert parse_matrix_text(text) == Graph.from_matrix(n, unchecked)
             return
         with pytest.raises(violations[0].kind) as info:
             parse_matrix_text(text)
@@ -261,36 +261,51 @@ class TestFromEdges:
     def test_accepts_plain_numbers(self):
         g = Graph.from_edges(2, [(1, 2, 3), (2, 1, Fraction(1, 2))])
         assert g.weight(1, 2) == 3 and g.weight(2, 1) == Fraction(1, 2)
-        assert validate(g) == []
+        assert validate(g.weights) == []
 
 
 class TestVertexLimit:
     @pytest.mark.parametrize(
         "parse, text",
         [
-            (parse_edge_list, "100000 0\n"),
+            (parse_edge_list, f"{MAX_SPARSE_VERTICES + 1} 0\n"),
+            (parse_edge_list, f"2 {MAX_EDGES + 1}\n"),
             (parse_matrix_text, "100000\n"),
-            (parse_edge_list, f"{MAX_VERTICES + 1} 0\n"),
             (parse_matrix_text, f"{MAX_VERTICES + 1}\n0\n"),
         ],
     )
     def test_header_above_the_limit_fails_fast(self, parse, text):
         start = time.perf_counter()
-        with pytest.raises(GraphTooLarge, match=str(MAX_VERTICES)):
+        with pytest.raises(GraphTooLarge, match=r"^\d+ (vertices|edges) exceed the limit of \d+$"):
             parse(text)
         assert time.perf_counter() - start < 0.5
 
     def test_from_edges_checks_the_limit(self):
-        with pytest.raises(GraphTooLarge):
-            Graph.from_edges(MAX_VERTICES + 1, [])
+        # edge lists have their own vertex budget, far above the dense cap
+        with pytest.raises(GraphTooLarge, match=f"limit of {MAX_SPARSE_VERTICES}$"):
+            Graph.from_edges(MAX_SPARSE_VERTICES + 1, [])
 
     def test_limit_is_inclusive(self):
-        # n = MAX_VERTICES passes the limit and fails later, at the entry or
-        # line count, without building the matrix
+        # n = MAX_VERTICES passes the limit and fails later, at the entry
+        # count, without building the matrix; m = MAX_EDGES fails at the
+        # line count
         with pytest.raises(MalformedInput, match=f"expected {MAX_VERTICES ** 2} matrix entries"):
             parse_matrix_text(f"{MAX_VERTICES}\n0\n")
-        with pytest.raises(MalformedInput, match="expected 1 edge lines"):
-            parse_edge_list(f"{MAX_VERTICES} 1\n")
+        with pytest.raises(MalformedInput, match=f"expected {MAX_EDGES} edge lines"):
+            parse_edge_list(f"2 {MAX_EDGES}\n")
+
+    def test_edge_lists_above_the_dense_cap_parse(self):
+        g = parse_edge_list(f"{MAX_VERTICES + 1} 1\n{MAX_VERTICES + 1} 1 2.5\n")
+        assert g.weight(MAX_VERTICES + 1, 1) == Weight.finite("2.5")
+        assert g.weight(1, MAX_VERTICES + 1) == INFINITY
+        assert list(g.edges()) == [(MAX_VERTICES + 1, 1, Weight.finite("2.5"))]
+
+    def test_the_dense_view_checks_the_cap(self):
+        g = Graph.from_edges(MAX_VERTICES + 1, [])
+        with pytest.raises(GraphTooLarge, match=f"limit of {MAX_VERTICES}$"):
+            g.weights
+        with pytest.raises(GraphTooLarge):
+            to_matrix_text(g)
 
 
 class TestSerialization:
@@ -307,14 +322,16 @@ class TestSerialization:
 
     @given(graphs())
     def test_serialized_graphs_validate_ok(self, g):
-        assert validate(parse_matrix_text(to_matrix_text(g))) == []
+        assert validate(parse_matrix_text(to_matrix_text(g)).weights) == []
 
 
 def test_graph_shape_is_checked():
     with pytest.raises(ValueError):
-        Graph(2, ((Weight.zero(),),))
+        Graph.from_matrix(2, ((Weight.zero(),),))
     with pytest.raises(ValueError):
-        Graph(0, ())
+        Graph.from_matrix(0, ())
+    with pytest.raises(ValueError):
+        Graph(2, ((),))
 
 
 def test_weight_accessor_checks_range(paper8):
@@ -332,10 +349,28 @@ def test_adjacency_lists_the_finite_off_diagonal_entries(g):
     ]
     assert [list(out) for out in g.adjacency] == expected
     assert list(g.edges()) == [(u, v, w) for u in g.vertices() for v, w in expected[u - 1]]
-    assert g.adjacency is g.adjacency
+    assert g.weights is g.weights
+
+
+@given(matrices(), st.data())
+def test_every_constructor_gives_the_adjacency_of_the_matrix(matrix, data):
+    n, rows = matrix
+    expected = matrix_adjacency(rows)
+    g = Graph.from_matrix(n, rows)
+    assert g.adjacency == expected
+    assert g.weights == rows
+    assert [[g.weight(u, v) for v in g.vertices()] for u in g.vertices()] == list(map(list, rows))
+    assert Graph.from_matrix(n, g.weights) == g
+    assert hash(Graph.from_matrix(n, g.weights)) == hash(g)
+    assert parse_matrix_text(to_matrix_text(g)).adjacency == expected
+    # from_edges takes the edges in any order
+    edges = data.draw(st.permutations(list(g.edges())))
+    assert Graph.from_edges(n, edges).adjacency == expected
 
 
 def test_adjacency_skips_every_infinity_instance():
-    # a sentinel built separately from INFINITY is still no edge
-    g = Graph(2, ((Weight.zero(), Weight(None)), (Weight.finite(3), Weight.zero())))
+    # a sentinel built separately from INFINITY is still no edge, and
+    # from_matrix ignores the diagonal
+    g = Graph.from_matrix(2, ((Weight.finite(7), Weight(None)), (Weight.finite(3), Weight.zero())))
     assert g.adjacency == ((), ((1, Weight.finite(3)),))
+    assert g.weights == ((Weight.zero(), INFINITY), (Weight.finite(3), Weight.zero()))

@@ -5,6 +5,7 @@ import pytest
 from pathlab import (
     FrontierNotPermanent,
     Graph,
+    GraphTooLarge,
     INFINITY,
     LabelState,
     Status,
@@ -20,6 +21,8 @@ from pathlab import (
     run_modified,
     select_permanent,
 )
+from pathlab import labeling
+from pathlab.graph import MAX_VERTICES
 
 
 def single_vertex():
@@ -289,3 +292,22 @@ class TestTraceInvariants:
         assert [r.newly_permanent for r in first.rounds] == [
             r.newly_permanent for r in second.rounds
         ]
+
+
+class TestSnapshotBudget:
+    def chain(self, n: int) -> Graph:
+        # every distance distinct, so even TIE_BATCH takes n - 1 rounds
+        return Graph.from_edges(n, [(v, v + 1, 1) for v in range(1, n)])
+
+    def test_every_run_within_the_dense_cap_fits(self):
+        assert (MAX_VERTICES - 1) * MAX_VERTICES <= labeling.MAX_SNAPSHOT_CELLS
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_a_trace_that_would_outgrow_it_raises(self, monkeypatch, strategy):
+        monkeypatch.setattr(labeling, "MAX_SNAPSHOT_CELLS", 20)
+        run = run_classic if strategy is Strategy.SINGLE_MIN else run_modified
+        kwargs = {} if strategy is Strategy.SINGLE_MIN else {"strategy": strategy}
+        # 4 rounds of 5 cells fit; the fourth round of 6 cells does not
+        assert run(self.chain(5), 1, **kwargs).rounds_count == 4
+        with pytest.raises(GraphTooLarge, match="24 snapshot label cells exceed the limit of 20"):
+            run(self.chain(6), 1, **kwargs)

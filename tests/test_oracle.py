@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import pytest
+from fractions import Fraction
+
 from hypothesis import given
+from hypothesis import strategies as st
 
 from pathlab import (
     Graph,
@@ -14,7 +17,7 @@ from pathlab import (
 )
 from pathlab.render import render_oracle_text
 
-from .strategies import graphs
+from .strategies import exact_weights, graphs, weight_sweep_bellman_ford
 
 
 class TestBellmanFord:
@@ -89,3 +92,18 @@ def test_oracles_agree_on_random_graphs(g):
             assert total == INFINITY
         else:
             assert route.total == total
+
+
+@given(graphs(max_n=8, weights=exact_weights), st.data())
+def test_bellman_ford_equals_the_weight_sweep(g, data):
+    source = data.draw(st.integers(1, g.n))
+    assert bellman_ford(g, source).distances == weight_sweep_bellman_ford(g, source)
+
+
+def test_bellman_ford_is_exact_across_denominators():
+    # the integer sweep scales by lcm(10**29, 3, 7): every sum stays exact
+    tiny, third, seventh = Fraction(1, 10**29), Fraction(1, 3), Fraction(1, 7)
+    g = Graph.from_edges(4, [(1, 2, tiny), (2, 3, third), (3, 4, seventh), (1, 4, 1)])
+    distances = bellman_ford(g, 1).distances
+    assert distances == weight_sweep_bellman_ford(g, 1)
+    assert distances[3].fraction == tiny + third + seventh

@@ -329,7 +329,27 @@ MALFORMED_DOCUMENTS = {
     "permanent_without_settled_round": lambda doc: _with_rows(
         doc, lambda row: {**row, "settled_round": None}
     ),
+    # round records that contradict their position or the final labels
+    "round_index_not_position": lambda doc: _with_round(doc, 0, round_index=42),
+    "newly_permanent_not_final_round": lambda doc: _with_round(doc, 1, newly_permanent=[7]),
+    "frontier_not_previous_batch": lambda doc: _with_round(doc, 2, frontier=[8]),
+    "first_frontier_not_source": lambda doc: _with_round(doc, 0, frontier=[2]),
+    "settled_round_not_listed": lambda doc: _with_rows(
+        doc, lambda row: {**row, "settled_round": 99} if row["settled_round"] else row
+    ),
 }
+
+ROUND_CONTRADICTIONS = [
+    "round_index_not_position",
+    "newly_permanent_not_final_round",
+    "frontier_not_previous_batch",
+]
+
+
+def _with_round(doc: dict, index: int, **fields) -> dict:
+    rounds = list(doc["rounds"])
+    rounds[index] = {**rounds[index], **fields}
+    return {**doc, "rounds": rounds}
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_DOCUMENTS))
@@ -337,6 +357,22 @@ def test_malformed_trace_document_is_malformed_input(paper8, name):
     text = json.dumps(MALFORMED_DOCUMENTS[name](_paper8_document(paper8)))
     with pytest.raises(MalformedInput):
         trace_from_json(text)
+
+
+@pytest.mark.parametrize("name", ROUND_CONTRADICTIONS)
+def test_contradictory_round_of_a_classic_trace_is_malformed_input(paper8, name):
+    doc = json.loads(trace_to_json(run_classic(paper8, 1)))
+    with pytest.raises(MalformedInput, match="round"):
+        trace_from_json(json.dumps(MALFORMED_DOCUMENTS[name](doc)))
+
+
+def test_source_not_settled_in_round_zero_is_malformed_input():
+    # with no rounds, only the round-0 batch ties the labels to the source
+    doc = json.loads(trace_to_json(run_classic(Graph.from_edges(2, []), 1)))
+    assert doc["rounds"] == []
+    doc["final_labels"][0].update(status="temporary", settled_round=None)
+    with pytest.raises(MalformedInput, match="round 0"):
+        trace_from_json(json.dumps(doc))
 
 
 def test_label_list_length_mismatch_is_reported(paper8):

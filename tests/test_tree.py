@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pathlab import (
     Graph,
+    GraphTooLarge,
     INFINITY,
     Strategy,
     UnsettledVertex,
@@ -15,6 +18,10 @@ from pathlab import (
     run_classic,
     run_modified,
 )
+from pathlab.graph import MAX_VERTICES
+from pathlab.render import render_tree_matrix
+
+from .strategies import column_scan_parent, graphs, reference_tree_entries
 
 
 @pytest.fixture()
@@ -112,3 +119,31 @@ class TestExtractPath:
         tree, trace = tora_tree
         for v in range(1, 9):
             assert extract_path(tree, v).total == trace.final_distances[v - 1]
+
+
+@given(graphs(), st.sampled_from(list(Strategy)), st.data())
+def test_parent_links_match_the_column_scan(g, strategy, data):
+    source = data.draw(st.integers(1, g.n))
+    if strategy is Strategy.SINGLE_MIN:
+        trace = run_classic(g, source)
+    else:
+        trace = run_modified(g, source, strategy=strategy)
+    tree = build_tree_matrix(g, trace)
+    entries = reference_tree_entries(g, trace)
+    assert [tree.parent(v) for v in g.vertices()] == [
+        column_scan_parent(entries, v) for v in g.vertices()
+    ]
+    assert [[tree.weight(u, v) for v in g.vertices()] for u in g.vertices()] == entries
+    rows = [" ".join(str(w) for w in row) for row in entries]
+    assert render_tree_matrix(tree) == "\n".join([str(g.n)] + rows) + "\n"
+
+
+def test_trees_above_the_dense_cap_route_but_do_not_render():
+    n = MAX_VERTICES + 1
+    g = Graph.from_edges(n, [(1, n, 2), (n, 2, 3)])
+    tree = build_tree_matrix(g, run_classic(g, 1))
+    assert extract_path(tree, 2).vertices == (1, n, 2)
+    assert extract_path(tree, 2).total == 5
+    assert tree.nonzero() == {(1, n): Weight.finite(2), (n, 2): Weight.finite(3)}
+    with pytest.raises(GraphTooLarge, match=f"limit of {MAX_VERTICES}$"):
+        render_tree_matrix(tree)

@@ -69,6 +69,18 @@ def test_ordering():
                     assert op(a, b) is op(_rank(a), _rank(b)), (a_name, op.__name__, b_name)
 
 
+@given(
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+)
+def test_finite_comparisons_are_those_of_the_fractions(a, b):
+    # pairs such as 1/2 and 1/3 share a numerator; 2/7 and 3/7 a denominator
+    for op in (operator.lt, operator.le, operator.eq, operator.ne, operator.gt, operator.ge):
+        assert op(Weight.finite(a), Weight.finite(b)) is op(a, b)
+    assert (Weight.finite(Fraction(1, 2)) == Weight.finite(Fraction(1, 3))) is False
+    assert (Weight.finite(Fraction(2, 7)) < Weight.finite(Fraction(3, 7))) is True
+
+
 def test_compares_against_plain_numbers():
     assert Weight.finite(5) == 5
     assert Weight.finite("2.5") == Fraction(5, 2)
