@@ -27,7 +27,6 @@ from .errors import (
     NegativeOrZeroWeight,
     PathlabError,
     SelfLoop,
-    UnsettledVertex,
     VertexOutOfRange,
 )
 from .graph import (
@@ -40,7 +39,6 @@ from .labeling import (
     LabelState,
     RoundRecord,
     RunTrace,
-    Status,
     Strategy,
     init_labels,
     relax_step,
@@ -77,12 +75,10 @@ __all__ = [
     "RunReport",
     "RunTrace",
     "SelfLoop",
-    "Status",
     "Strategy",
     "StrategyAggregate",
     "StrategyResult",
     "TreeMatrix",
-    "UnsettledVertex",
     "VertexOutOfRange",
     "Weight",
     "bellman_ford",

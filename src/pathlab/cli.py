@@ -18,11 +18,16 @@ from . import bench as bench_mod
 from . import render
 from .errors import PathlabError
 from .graph import Graph, check_size, parse_edge_list, parse_matrix_text
-from .labeling import Strategy, run_classic, run_modified
+from .labeling import Strategy
 from .oracle import bellman_ford
 from .tree import build_tree_matrix, extract_path
 
-ALGO_CHOICES = click.Choice(["classic", "tiebatch", "stablebatch"])
+STRATEGIES = {
+    "classic": Strategy.SINGLE_MIN,
+    "tiebatch": Strategy.TIE_BATCH,
+    "stablebatch": Strategy.STABLE_BATCH,
+}
+ALGO_CHOICES = click.Choice(list(STRATEGIES))
 
 STABLE_BATCH_NOTICE = (
     "note: stablebatch is experimental and unsound in general; "
@@ -39,13 +44,6 @@ def _load_graph(path_str: str) -> Graph:
     if path.suffix == ".edges":
         return parse_edge_list(text)
     return parse_matrix_text(text)
-
-
-def _run_algo(g, algo: str, source: int, target: int | None, stop_at_target: bool):
-    if algo == "classic":
-        return run_classic(g, source, target, stop_at_target)
-    strategy = Strategy.TIE_BATCH if algo == "tiebatch" else Strategy.STABLE_BATCH
-    return run_modified(g, source, target, stop_at_target, strategy)
 
 
 def _stable_batch_check(g, trace) -> None:
@@ -90,7 +88,7 @@ def trace(graph_file, source, target, algo, stop_at_target, format_):
         raise click.UsageError("--stop-at-target requires --target")
     try:
         g = _load_graph(graph_file)
-        result = _run_algo(g, algo, source, target, stop_at_target)
+        result = bench_mod.run_strategy(g, source, STRATEGIES[algo], target, stop_at_target)
     except PathlabError as exc:
         _fail(str(exc))
     if algo == "stablebatch":
@@ -111,7 +109,7 @@ def path_cmd(graph_file, source, target, algo):
     try:
         g = _load_graph(graph_file)
         check_size(g.n)  # before the run: the tree matrix printed is n by n
-        result = _run_algo(g, algo, source, target, stop_at_target=False)
+        result = bench_mod.run_strategy(g, source, STRATEGIES[algo], target)
         tree = build_tree_matrix(g, result)
         route = extract_path(tree, target)
     except PathlabError as exc:
@@ -183,9 +181,9 @@ def bench(nodes, density, graphs, seed, tie_bias, weights, source, out):
     click.echo(f"wrote {out} ({len(report.records)} records)")
     for strategy, agg in report.aggregates.items():
         click.echo(
-            f"{strategy.value:<11} mean_rounds={render.mean_str(agg.mean_rounds)}"
+            f"{strategy.value:<11} mean_rounds={render.fixed_decimal(agg.mean_rounds, 6)}"
             f" min={agg.min_rounds} max={agg.max_rounds}"
-            f" agreement={render.mean_str(agg.agreement_rate * 100)}%"
+            f" agreement={render.fixed_decimal(agg.agreement_rate * 100, 6)}%"
         )
     if report.records:
         click.echo(

@@ -39,7 +39,3 @@ class GraphTooLarge(PathlabError):
 
 class FrontierNotPermanent(PathlabError):
     """A relaxation frontier contains a vertex that is not permanently labeled."""
-
-
-class UnsettledVertex(PathlabError):
-    """A vertex required to be settled never received a permanent label."""

@@ -20,15 +20,17 @@ entries left behind by a later improvement or a settle are skipped when they
 surface. STABLE_BATCH also keeps the set of finite temporary labels.
 
 Every round is recorded with a label snapshot so runs can be replayed,
-rendered, and regression-tested against golden traces. A label state stores
-three lists: values, predecessor sets and settling rounds; a vertex is
-permanent exactly when its settling round is set, so its status is derived,
-not stored. Predecessor sets are immutable ``frozenset``s that a change
-replaces rather than mutates, so a snapshot is three list copies that share
-the sets and weights with the live state. A run costs O(n + m log m) for
-relaxation and selection, plus O(n) list copying per round for the
-snapshots, which is O(n²) over the up to n - 1 rounds of SINGLE_MIN; a run
-raises GraphTooLarge rather than let them pass ``MAX_SNAPSHOT_CELLS``.
+rendered, and regression-tested against golden traces. A label state is
+three lists: values, predecessor sets and settling rounds. A vertex is
+permanent exactly when its settling round is set, so its status and the next
+round's index are derived, not stored. The engine writes its own three lists
+and records each round as a ``LabelState`` over copies of them. Predecessor
+sets are immutable ``frozenset``s that a change replaces rather than
+mutates, so a snapshot shares the sets and weights with the live lists. A
+run costs O(n + m log m) for relaxation and selection, plus O(n) list
+copying per round for the snapshots, which is O(n²) over the up to n - 1
+rounds of SINGLE_MIN; a run raises GraphTooLarge rather than let them pass
+``MAX_SNAPSHOT_CELLS``.
 
 :func:`relax_step` and :func:`select_permanent` perform one relax and one
 select move over a whole ``LabelState``; they are the straightforward
@@ -53,11 +55,6 @@ from .weights import INFINITY, Weight
 MAX_SNAPSHOT_CELLS = MAX_VERTICES**2
 
 
-class Status(enum.Enum):
-    TEMPORARY = "temporary"
-    PERMANENT = "permanent"
-
-
 class Strategy(enum.Enum):
     SINGLE_MIN = "singlemin"
     TIE_BATCH = "tiebatch"
@@ -67,15 +64,15 @@ class Strategy(enum.Enum):
 class LabelState:
     """Per-vertex label value, predecessor set, and settling round.
 
-    A vertex is permanent exactly when its settling round is not None;
-    :meth:`status` derives the :class:`Status` from that. Predecessors hold
-    *all* minimizers seen so far: a strict improvement replaces the set, an
-    equal-value alternative extends it. Sets are never mutated in place, only
-    replaced, so :meth:`copy` is three list copies whose snapshots share the
-    sets. Confined to a single run; use :meth:`copy` for snapshots.
+    A vertex is permanent exactly when its settling round is not None.
+    Predecessors hold *all* minimizers seen so far: a strict improvement
+    replaces the set, an equal-value alternative extends it. Sets are never
+    mutated in place, only replaced, so :meth:`copy` is three list copies
+    whose snapshots share the sets. Confined to a single run; use
+    :meth:`copy` for snapshots.
     """
 
-    __slots__ = ("_values", "_preds", "_settled", "_last_round")
+    __slots__ = ("_values", "_preds", "_settled")
 
     def __init__(
         self,
@@ -86,9 +83,6 @@ class LabelState:
         self._values = values
         self._preds = preds
         self._settled = settled
-        # Highest settling round so far (-1 before the source is settled);
-        # derived from ``settled``, so it takes no part in equality.
-        self._last_round = max((r for r in settled if r is not None), default=-1)
 
     @classmethod
     def initial(cls, n: int, source: int) -> "LabelState":
@@ -111,9 +105,6 @@ class LabelState:
 
     def predecessors(self, v: int) -> frozenset[int]:
         return frozenset(self._preds[v - 1])
-
-    def status(self, v: int) -> Status:
-        return Status.TEMPORARY if self._settled[v - 1] is None else Status.PERMANENT
 
     def is_permanent(self, v: int) -> bool:
         return self._settled[v - 1] is not None
@@ -141,13 +132,7 @@ class LabelState:
         return tuple(self._values), tuple(self._preds), tuple(self._settled)
 
     def copy(self) -> "LabelState":
-        # Skips __init__, whose O(n) scan for the last round is already known.
-        new = LabelState.__new__(LabelState)
-        new._values = list(self._values)
-        new._preds = list(self._preds)
-        new._settled = list(self._settled)
-        new._last_round = self._last_round
-        return new
+        return LabelState(list(self._values), list(self._preds), list(self._settled))
 
     def improve(self, v: int, value: Weight, preds: AbstractSet[int]) -> None:
         """Strict improvement: new value, predecessor set replaced."""
@@ -166,7 +151,6 @@ class LabelState:
         if self.is_permanent(v):
             raise ValueError(f"vertex {v} is already permanent")
         self._settled[v - 1] = round_index
-        self._last_round = max(self._last_round, round_index)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabelState):
@@ -179,7 +163,8 @@ class LabelState:
 
     def __repr__(self) -> str:
         rows = ", ".join(
-            f"{v}:[{self.value(v)},{sorted(self._preds[v - 1])},{self.status(v).value}]"
+            f"{v}:[{self.value(v)},{sorted(self._preds[v - 1])},"
+            f"{'permanent' if self.is_permanent(v) else 'temporary'}]"
             for v in self.vertices()
         )
         return f"<LabelState {rows}>"
@@ -290,12 +275,14 @@ def select_permanent(
     lowest-id vertex at m, TIE_BATCH every vertex at m, STABLE_BATCH every
     vertex at m plus each finite temporary vertex absent from ``changed``.
     Returns the settled set; empty (and no mutation) when no temporary label
-    is finite, which signals exhaustion to the caller.
+    is finite, which signals exhaustion to the caller. The batch's round is
+    one past the highest settling round so far.
     """
+    values, _, settled = labels.columns()
     finite = [
-        (labels.value(v), v)
-        for v in labels.vertices()
-        if not labels.is_permanent(v) and labels.value(v).is_finite
+        (w, v)
+        for v, w, r in zip(labels.vertices(), values, settled)
+        if r is None and w.is_finite
     ]
     if not finite:
         return frozenset()
@@ -309,7 +296,7 @@ def select_permanent(
         chosen = at_minimum | {v for _, v in finite if v not in changed}
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown strategy {strategy!r}")
-    round_index = labels._last_round + 1
+    round_index = max((r for r in settled if r is not None), default=-1) + 1
     for v in sorted(chosen):
         labels.settle(v, round_index)
     return frozenset(chosen)
@@ -348,10 +335,9 @@ def _run(
     check_vertex(g, source)
     if target is not None:
         check_vertex(g, target)
-    labels = init_labels(g, source)
-    # The engine writes the live state's lists directly; the round API
-    # functions above do the same moves one LabelState method at a time.
-    values, preds, settled = labels._values, labels._preds, labels._settled
+    # The engine writes its own three lists directly; the round API functions
+    # above do the same moves one LabelState method at a time.
+    values, preds, settled = map(list, LabelState.initial(g.n, source).columns())
     adjacency = g.adjacency
     # The Fraction inside each finite label (None for INFINITY): heap keys and
     # the operands of relaxation.
@@ -364,7 +350,7 @@ def _run(
     frontier: frozenset[int] = frozenset({source})
     terminated_early = False
     while unsettled:
-        if stop_at_target and target is not None and labels.is_permanent(target):
+        if stop_at_target and target is not None and settled[target - 1] is not None:
             terminated_early = True
             break
         changed = set()
@@ -393,18 +379,19 @@ def _run(
         round_index = len(rounds) + 1
         check_size(round_index * g.n, MAX_SNAPSHOT_CELLS, "snapshot label cells")
         for v in newly:
-            labels.settle(v, round_index)
+            settled[v - 1] = round_index
         finite_temporary -= newly
         unsettled -= len(newly)
         newly = frozenset(newly)
-        rounds.append(RoundRecord(round_index, frontier, labels.copy(), newly))
+        snapshot = LabelState(list(values), list(preds), list(settled))
+        rounds.append(RoundRecord(round_index, frontier, snapshot, newly))
         frontier = newly
     return RunTrace(
         strategy=strategy,
         source=source,
         target=target,
         rounds=tuple(rounds),
-        final_labels=labels,
+        final_labels=LabelState(values, preds, settled),
         terminated_early=terminated_early,
     )
 

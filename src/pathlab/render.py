@@ -16,9 +16,9 @@ work is therefore proportional to the number of distinct rows (about the
 number of label changes), and the remaining work is one dict lookup per cell
 plus joins proportional to the output bytes. :func:`trace_from_json` decodes
 with the C JSON parser and, within one call, parses each distinct weight
-string, status and vertex list once, and checks every field the document
-repeats (algorithm, round counts, final distances, statuses) against the one
-it is derived from.
+string and vertex list once, and checks every field the document repeats
+(algorithm, round counts, final distances, statuses, each round's settled
+rounds and the final labels) against the one it is derived from.
 """
 
 from __future__ import annotations
@@ -33,17 +33,19 @@ from typing import Callable
 from .bench import ComparisonRecord
 from .errors import MalformedInput
 from .graph import check_size
-from .labeling import LabelState, RoundRecord, RunTrace, Status, Strategy
+from .labeling import LabelState, RoundRecord, RunTrace, Strategy
 from .oracle import OracleResult
 from .tree import TreeMatrix
 from .weights import Weight
 
 
-def two_decimals(w: Weight) -> str:
-    """Exact two-decimal rendering of a finite weight (half-even rounding)."""
-    scaled = round(w.fraction * 100)
+def fixed_decimal(value: Fraction, places: int) -> str:
+    """Exact rendering of ``value`` to ``places`` decimals, rounded half to
+    even: two for trace labels, six for report summaries."""
+    scaled = round(value * 10**places)
+    whole, part = divmod(abs(scaled), 10**places)
     sign = "-" if scaled < 0 else ""
-    return f"{sign}{abs(scaled) // 100}.{abs(scaled) % 100:02d}"
+    return f"{sign}{whole}.{part:0{places}d}"
 
 
 def _formatted_rows(labels: LabelState, memo: dict, fmt: Callable[..., str]) -> list[str]:
@@ -66,7 +68,7 @@ def _formatted_rows(labels: LabelState, memo: dict, fmt: Callable[..., str]) -> 
 
 
 def _status_name(settled: int | None) -> str:
-    return (Status.TEMPORARY if settled is None else Status.PERMANENT).value
+    return "temporary" if settled is None else "permanent"
 
 
 def _vertex_set(vertices: frozenset[int]) -> str:
@@ -77,7 +79,7 @@ def _text_row(source: int, v: int, value: Weight, preds, settled) -> str:
     if value.is_infinite:
         return f"{v:4d} |"
     predecessor = "-" if v == source or not preds else str(min(preds))
-    return f"{v:4d} | [{two_decimals(value)}, {predecessor}] | {_status_name(settled)}"
+    return f"{v:4d} | [{fixed_decimal(value.fraction, 2)}, {predecessor}] | {_status_name(settled)}"
 
 
 def render_trace_text(trace: RunTrace) -> str:
@@ -169,6 +171,9 @@ def trace_to_json(trace: RunTrace) -> str:
 
 _ROW_FIELDS = itemgetter("vertex", "value", "predecessors", "status", "settled_round")
 
+# Whether a status names a permanent label; any other status is unknown.
+_STATUS_IS_PERMANENT = {"temporary": False, "permanent": True}
+
 
 def _typed(value, kind: type):
     """``value`` if its type is exactly ``kind`` (so a bool is no int)."""
@@ -188,14 +193,13 @@ def _vertices(n: int, values: tuple) -> frozenset[int]:
 
 
 class _TraceLoader:
-    """Builds one RunTrace from decoded JSON. Each distinct weight string,
-    status and vertex list is parsed once per load, and equal ones share
-    one object, as they do in a trace the engine recorded."""
+    """Builds one RunTrace from decoded JSON. Each distinct weight string and
+    vertex list is parsed once per load, and equal ones share one object, as
+    they do in a trace the engine recorded."""
 
     def __init__(self, n: int):
         self.n = n
         self.weight = cache(Weight.from_str)
-        self.is_permanent = cache(lambda name: Status(name) is Status.PERMANENT)
         self.vertex_set = cache(partial(_vertices, n))
         self.vertex_ids = tuple(range(1, n + 1))
 
@@ -212,8 +216,9 @@ class _TraceLoader:
             raise TypeError("predecessors must be lists")
         if not {type(r) for r in settled} <= {int, type(None)}:
             raise TypeError("settled_round must be an integer or null")
-        if list(map(self.is_permanent, status)) != list(map(is_not, settled, repeat(None))):
-            raise ValueError("a status disagrees with its settled_round")
+        permanent = list(map(is_not, settled, repeat(None)))
+        if list(map(_STATUS_IS_PERMANENT.get, status)) != permanent:
+            raise ValueError("a status is unknown or disagrees with its settled_round")
         return LabelState(
             list(map(self.weight, value)),
             list(map(self.vertex_set, map(tuple, preds))),
@@ -236,8 +241,9 @@ def trace_from_json(text: str) -> RunTrace:
     value of the wrong type, an unknown strategy or status, an out-of-range
     vertex, or label lists whose lengths differ, or when a field it derives
     disagrees with the document: the algorithm, either round count, the
-    final distances, a status given its settled_round, or a round record
-    given its position and the final settled rounds.
+    final distances, a status given its settled_round, a round record or
+    its snapshot's settled rounds given the final ones, or the final labels
+    given the last snapshot.
     """
     try:
         data = json.loads(text)
@@ -275,11 +281,14 @@ def trace_from_json(text: str) -> RunTrace:
 
 
 def _check_rounds(trace: RunTrace) -> None:
-    """Raise ValueError unless round 0 settles the source alone and round k
-    has index k, relaxes from round k - 1's batch and settles the vertices
-    whose final settled_round is k. O(n + the batch sizes)."""
+    """Raise ValueError unless round 0 settles the source alone; round k has
+    index k, relaxes from round k - 1's batch, settles the vertices whose
+    final settled_round is k and, in its snapshot, those up to k; and the
+    final labels are the last snapshot (the initial labels with no rounds).
+    O(n) per round, in C-speed list copies and comparisons."""
+    final = trace.final_labels
     batches: list[list[int]] = [[] for _ in range(len(trace.rounds) + 1)]
-    for v, r in enumerate(trace.final_labels.columns()[2], start=1):
+    for v, r in enumerate(final.columns()[2], start=1):
         if r is not None:
             if not 0 <= r < len(batches):
                 raise ValueError(f"vertex {v} settles in round {r}, which is not listed")
@@ -287,9 +296,18 @@ def _check_rounds(trace: RunTrace) -> None:
     if batches[0] != [trace.source]:
         raise ValueError("only the source settles in round 0")
     sets = list(map(frozenset, batches))
-    expected = list(zip(range(1, len(sets)), sets, sets[1:]))
-    if [(r.round_index, r.frontier, r.newly_permanent) for r in trace.rounds] != expected:
-        raise ValueError("a round record disagrees with its position or the final settled rounds")
+    last = LabelState.initial(final.n, trace.source)
+    settled = list(last.columns()[2])
+    for k, record in enumerate(trace.rounds, start=1):
+        if (record.round_index, record.frontier, record.newly_permanent) != (k, sets[k - 1], sets[k]):
+            raise ValueError("a round record disagrees with its position or the final settled rounds")
+        for v in batches[k]:
+            settled[v - 1] = k
+        last = record.label_snapshot
+        if last.columns()[2] != tuple(settled):
+            raise ValueError(f"round {k}'s settled rounds disagree with the final ones")
+    if final != last:
+        raise ValueError("final_labels are not the labels of the last round")
 
 
 def render_tree_matrix(t: TreeMatrix) -> str:
@@ -330,9 +348,3 @@ def render_comparison_text(record: ComparisonRecord) -> str:
         + ("true" if record.stable_batch_unsound else "false")
     )
     return "\n".join(lines) + "\n"
-
-
-def mean_str(value: Fraction) -> str:
-    """Fixed six-decimal rendering of an exact mean, for report summaries."""
-    scaled = round(value * 1_000_000)
-    return f"{scaled // 1_000_000}.{scaled % 1_000_000:06d}"

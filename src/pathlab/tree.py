@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnsettledVertex, VertexOutOfRange
+from .errors import VertexOutOfRange
 from .graph import Graph
 from .labeling import RunTrace
 from .weights import INFINITY, Weight
@@ -68,19 +68,15 @@ class Route:
         return "-".join(str(v) for v in self.vertices) + f" ({self.total})"
 
 
-def build_tree_matrix(g: Graph, trace: RunTrace, strict: bool = False) -> TreeMatrix:
+def build_tree_matrix(g: Graph, trace: RunTrace) -> TreeMatrix:
     """Parent links for every settled non-source vertex of the trace.
 
     The parent is the lowest id in the vertex's final predecessor set.
-    Unsettled vertices simply get no parent, unless ``strict`` is set and the
-    trace's target is among them.
+    Unsettled vertices get no parent, so a route to one is "no path".
     """
-    labels = trace.final_labels
-    if strict and trace.target is not None and not labels.is_permanent(trace.target):
-        raise UnsettledVertex(f"target {trace.target} was never settled")
     parents: list[int | None] = [None] * g.n
     weights: list[Weight | None] = [None] * g.n
-    _, preds, settled = labels.columns()
+    _, preds, settled = trace.final_labels.columns()
     for j in g.vertices():
         if j == trace.source or settled[j - 1] is None:
             continue

@@ -137,6 +137,12 @@ class TestCompare:
         assert record.result(Strategy.SINGLE_MIN).agrees_oracle
         assert record.result(Strategy.TIE_BATCH).agrees_oracle
 
+    def test_equal_comparisons_compare_equal(self, paper8):
+        # elapsed_seconds is a wall-clock reading and takes no part in equality
+        first, second = compare(paper8, 1), compare(paper8, 1)
+        assert first == second
+        assert [r.elapsed_seconds for r in first.results] != [0.0] * 3
+
     def test_single_vertex(self):
         record = compare(parse_matrix_text("1\n0"), 1)
         for strategy in Strategy:
@@ -188,6 +194,7 @@ class TestRunSuite:
         specs = [spec(density=0.6, tie_bias=0.5, seed=3)]
         first = run_suite(specs, 25)
         second = run_suite(specs, 25)
+        assert first == second
         assert report_to_csv(first) == report_to_csv(second)
         assert report_to_json(first) == report_to_json(second)
 
@@ -222,15 +229,40 @@ class TestReportFormats:
         assert '"0",' in text and '"10",' in text
 
 
-def test_benchmark_finds_every_name_it_calls():
-    # perfbench/spans.py looks pathlab's functions up by name, and points
-    # pathlab.bench's own references at wrappers; a renamed or deleted one
-    # breaks the benchmark while every other test passes
+def _perfbench_spans():
     path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_benchmark_finds_every_name_it_calls():
+    # perfbench/spans.py looks pathlab's functions up by name, and points
+    # pathlab.bench's own references at wrappers; a renamed or deleted one
+    # breaks the benchmark while every other test passes
+    spans = _perfbench_spans()
     lib = spans.make_lib(pathlab)
     for name in spans.BENCH_INTERNALS:
         assert callable(getattr(pathlab.bench, name)), name
         assert callable(getattr(lib, name)), name
+
+
+def test_benchmark_sees_every_run_inside_compare(paper8):
+    # the traced benchmark replaces pathlab.bench's run and oracle functions
+    # with wrappers; compare must call them through the module, at call time,
+    # for each run to show up as a child of the bench.compare span
+    spans = _perfbench_spans()
+    tracer = spans.Tracer(pathlab)
+    lib = spans.make_lib(pathlab, tracer.wrap)
+    with tracer.span("op", op_id=0), spans.bench_calls_through(pathlab, lib):
+        lib.compare(paper8, 1)
+    names = [span[2] for span in tracer.spans]
+    compare_id = names.index("bench.compare")
+    children = {span[2] for span in tracer.spans if span[1] == compare_id}
+    assert {
+        "labeling.classic",
+        "labeling.tiebatch",
+        "labeling.stablebatch",
+        "oracle.bellman_ford",
+    } <= children

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from pathlab import cli, labeling
+from pathlab import bench, labeling
 from pathlab.cli import main
 from pathlab.graph import MAX_EDGES, MAX_SPARSE_VERTICES, MAX_VERTICES
 
@@ -44,8 +44,11 @@ def _golden_cases():
     trace_<fixture stem>_<algo>.{txt,json} of `trace --source 1 --algo <algo>
     --format text|structured`, and path_, compare_ and oracle_<fixture stem>.txt
     of `path --source 1 --target <last vertex>`, `compare --source 1` and
-    `oracle --source 1`. error_<stem>.txt holds the stderr of `oracle` on the
-    bad graph file <stem>, which exits 1.
+    `oracle --source 1`. trace_<fixture stem>_<algo>_stop.txt holds the text
+    trace of `trace --source 1 --target <last vertex> --stop-at-target --algo
+    <algo>`, and path_<fixture stem>_<algo>.txt that of `path` with `--algo
+    tiebatch|stablebatch`. error_<stem>.txt holds the stderr of `oracle` on
+    the bad graph file <stem>, which exits 1.
     """
     for format_ in ["text", "structured"]:
         for algo in ["classic", "tiebatch", "stablebatch"]:
@@ -54,10 +57,18 @@ def _golden_cases():
                 argv = ["trace", str(fixture_path(fixture)), "--source", "1", "--algo", algo,
                         "--format", format_]
                 yield f"{format_}-{algo}-{fixture}", golden, argv, None
+    for algo in ["classic", "tiebatch", "stablebatch"]:
+        for fixture in GOLDEN_FIXTURES:
+            argv = ["trace", str(fixture_path(fixture)), "--source", "1",
+                    "--target", str(LAST_VERTEX[fixture]), "--stop-at-target", "--algo", algo]
+            yield f"stop-{algo}-{fixture}", f"trace_{fixture.split('.')[0]}_{algo}_stop.txt", argv, None
     for fixture in GOLDEN_FIXTURES:
         stem, graph = fixture.split(".")[0], str(fixture_path(fixture))
         target = str(LAST_VERTEX[fixture])
         yield f"path-{fixture}", f"path_{stem}.txt", ["path", graph, "--source", "1", "--target", target], None
+        for algo in ["tiebatch", "stablebatch"]:
+            argv = ["path", graph, "--source", "1", "--target", target, "--algo", algo]
+            yield f"path-{algo}-{fixture}", f"path_{stem}_{algo}.txt", argv, None
         yield f"compare-{fixture}", f"compare_{stem}.txt", ["compare", graph, "--source", "1"], None
         yield f"oracle-{fixture}", f"oracle_{stem}.txt", ["oracle", graph, "--source", "1"], None
     for name in BAD_GRAPHS:
@@ -199,7 +210,7 @@ class TestPath:
         def no_run(*args, **kwargs):
             raise AssertionError("path ran the algorithm")
 
-        monkeypatch.setattr(cli, "_run_algo", no_run)
+        monkeypatch.setattr(bench, "run_strategy", no_run)
         result = runner.invoke(main, ["path", str(graph), "--source", "1", "--target", "2"])
         assert result.exit_code == 1
         assert result.stdout == ""

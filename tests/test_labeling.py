@@ -8,7 +8,6 @@ from pathlab import (
     GraphTooLarge,
     INFINITY,
     LabelState,
-    Status,
     Strategy,
     VertexOutOfRange,
     Weight,
@@ -22,6 +21,7 @@ from pathlab import (
     select_permanent,
 )
 from pathlab import labeling
+from pathlab.bench import run_strategy
 from pathlab.graph import MAX_VERTICES
 
 
@@ -33,12 +33,12 @@ class TestInitLabels:
     def test_eight_city(self, paper8):
         labels = init_labels(paper8, 1)
         assert labels.value(1) == 0
-        assert labels.status(1) is Status.PERMANENT
+        assert labels.is_permanent(1)
         assert labels.settled_round(1) == 0
         assert labels.predecessors(1) == frozenset()
         for v in range(2, 9):
             assert labels.value(v) == INFINITY
-            assert labels.status(v) is Status.TEMPORARY
+            assert not labels.is_permanent(v)
             assert labels.settled_round(v) is None
 
     def test_single_vertex(self):
@@ -114,7 +114,7 @@ class TestSelectPermanent:
         labels = labels_with_temporaries(7, {4: 4, 6: 6, 7: 10})
         settled = select_permanent(labels, Strategy.SINGLE_MIN, frozenset())
         assert settled == {4}
-        assert labels.status(4) is Status.PERMANENT
+        assert labels.is_permanent(4)
         assert labels.settled_round(4) == 1
 
     def test_tie_batch_takes_all_at_minimum(self):
@@ -125,7 +125,7 @@ class TestSelectPermanent:
         labels = labels_with_temporaries(7, {4: 4, 6: 6, 7: 10})
         settled = select_permanent(labels, Strategy.STABLE_BATCH, frozenset({7}))
         assert settled == {4, 6}
-        assert labels.status(7) is Status.TEMPORARY
+        assert not labels.is_permanent(7)
 
     def test_exhaustion_returns_empty(self):
         labels = LabelState.initial(3, 1)
@@ -143,8 +143,8 @@ class TestSelectPermanent:
             [set(), {1}, {2}, {3}],
             [0, 2, 1, None],
         )
-        assert labels.status(3) is Status.PERMANENT
-        assert labels.status(4) is Status.TEMPORARY
+        assert labels.is_permanent(3)
+        assert not labels.is_permanent(4)
         assert select_permanent(labels, Strategy.SINGLE_MIN, frozenset()) == {4}
         assert labels.settled_round(4) == 3
 
@@ -257,9 +257,7 @@ class TestTraceInvariants:
             assert trace.final_distances == trace.final_labels.distances()
             labels = trace.final_labels
             for v in labels.vertices():
-                permanent = labels.settled_round(v) is not None
-                assert labels.is_permanent(v) is permanent
-                assert labels.status(v) is (Status.PERMANENT if permanent else Status.TEMPORARY)
+                assert labels.is_permanent(v) is (labels.settled_round(v) is not None)
 
     def test_frontier_chains_from_previous_round(self, paper8):
         trace = run_modified(paper8, 1, strategy=Strategy.TIE_BATCH)
@@ -305,9 +303,7 @@ class TestSnapshotBudget:
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_a_trace_that_would_outgrow_it_raises(self, monkeypatch, strategy):
         monkeypatch.setattr(labeling, "MAX_SNAPSHOT_CELLS", 20)
-        run = run_classic if strategy is Strategy.SINGLE_MIN else run_modified
-        kwargs = {} if strategy is Strategy.SINGLE_MIN else {"strategy": strategy}
         # 4 rounds of 5 cells fit; the fourth round of 6 cells does not
-        assert run(self.chain(5), 1, **kwargs).rounds_count == 4
+        assert run_strategy(self.chain(5), 1, strategy).rounds_count == 4
         with pytest.raises(GraphTooLarge, match="24 snapshot label cells exceed the limit of 20"):
-            run(self.chain(6), 1, **kwargs)
+            run_strategy(self.chain(6), 1, strategy)

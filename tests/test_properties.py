@@ -16,6 +16,7 @@ from pathlab import (
     run_modified,
     select_permanent,
 )
+from pathlab.bench import run_strategy
 
 from .strategies import graphs
 
@@ -171,10 +172,7 @@ def test_runs_equal_a_round_api_replay(g, data):
     target = data.draw(st.none() | st.integers(1, g.n))
     stop_at_target = data.draw(st.booleans())
     strategy = data.draw(st.sampled_from(Strategy))
-    if strategy is Strategy.SINGLE_MIN:
-        trace = run_classic(g, source, target, stop_at_target)
-    else:
-        trace = run_modified(g, source, target, stop_at_target, strategy)
+    trace = run_strategy(g, source, strategy, target, stop_at_target)
     rounds, labels, terminated_early = replay_rounds(
         g, source, target, stop_at_target, strategy
     )

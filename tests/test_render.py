@@ -18,14 +18,14 @@ from pathlab import (
     run_classic,
     run_modified,
 )
+from pathlab.bench import run_strategy
 from pathlab.render import (
-    mean_str,
+    fixed_decimal,
     render_comparison_text,
     render_trace_text,
     render_tree_matrix,
     trace_from_json,
     trace_to_json,
-    two_decimals,
 )
 from pathlab.tree import build_tree_matrix, extract_path
 
@@ -44,9 +44,13 @@ GOLDEN_FINAL_TABLE = [
 
 
 def test_two_decimal_labels():
-    assert two_decimals(Weight.finite(4)) == "4.00"
-    assert two_decimals(Weight.finite("2.5")) == "2.50"
-    assert two_decimals(Weight.finite(10)) == "10.00"
+    assert fixed_decimal(Weight.finite(4).fraction, 2) == "4.00"
+    assert fixed_decimal(Weight.finite("2.5").fraction, 2) == "2.50"
+    assert fixed_decimal(Weight.finite(10).fraction, 2) == "10.00"
+    # half to even, and the sign kept
+    assert fixed_decimal(Fraction(1, 8), 2) == "0.12"
+    assert fixed_decimal(Fraction(3, 8), 2) == "0.38"
+    assert fixed_decimal(Fraction(-3, 8), 2) == "-0.38"
 
 
 def test_trace_text_final_block_matches_golden_rows(paper8_tora):
@@ -114,10 +118,10 @@ def test_comparison_rendering(counterexample4):
     assert "singlemin" in text and "tiebatch" in text and "stablebatch" in text
 
 
-def test_mean_str_is_fixed_width_decimal():
-    assert mean_str(Fraction(13, 4)) == "3.250000"
-    assert mean_str(Fraction(1)) == "1.000000"
-    assert mean_str(Fraction(997, 10)) == "99.700000"
+def test_six_decimal_summaries_are_fixed_width():
+    assert fixed_decimal(Fraction(13, 4), 6) == "3.250000"
+    assert fixed_decimal(Fraction(1), 6) == "1.000000"
+    assert fixed_decimal(Fraction(997, 10), 6) == "99.700000"
 
 
 # Reference serializers: the straightforward per-cell definitions the memoized
@@ -130,11 +134,15 @@ def _reference_labels_to_list(labels: LabelState) -> list[dict]:
             "vertex": v,
             "value": str(labels.value(v)),
             "predecessors": sorted(labels.predecessors(v)),
-            "status": labels.status(v).value,
+            "status": _reference_status(labels, v),
             "settled_round": labels.settled_round(v),
         }
         for v in labels.vertices()
     ]
+
+
+def _reference_status(labels: LabelState, v: int) -> str:
+    return "permanent" if labels.is_permanent(v) else "temporary"
 
 
 def reference_trace_to_dict(trace: RunTrace) -> dict:
@@ -182,8 +190,8 @@ def _reference_label_rows(labels: LabelState, source: int) -> list[str]:
         if value.is_infinite:
             rows.append(f"{v:4d} |")
         else:
-            label = f"[{two_decimals(value)}, {_reference_display_predecessor(labels, source, v)}]"
-            rows.append(f"{v:4d} | {label} | {labels.status(v).value}")
+            label = f"[{fixed_decimal(value.fraction, 2)}, {_reference_display_predecessor(labels, source, v)}]"
+            rows.append(f"{v:4d} | {label} | {_reference_status(labels, v)}")
     return rows
 
 
@@ -202,12 +210,6 @@ def reference_render_trace_text(trace: RunTrace) -> str:
         f" (including source initialization: {trace.rounds_count_incl_source})"
     )
     return "\n\n".join(blocks + [summary]) + "\n"
-
-
-def run_strategy(g, strategy, source=1, target=None, stop_at_target=False) -> RunTrace:
-    if strategy is Strategy.SINGLE_MIN:
-        return run_classic(g, source, target, stop_at_target)
-    return run_modified(g, source, target, stop_at_target, strategy)
 
 
 def assert_matches_reference_and_round_trips(trace: RunTrace) -> None:
@@ -231,7 +233,7 @@ def test_serializers_match_reference(g, strategy, stop_at_target, data):
     source = data.draw(st.integers(min_value=1, max_value=g.n))
     target = data.draw(st.integers(min_value=1, max_value=g.n))
     assert_matches_reference_and_round_trips(
-        run_strategy(g, strategy, source, target, stop_at_target)
+        run_strategy(g, source, strategy, target, stop_at_target)
     )
 
 
@@ -250,7 +252,7 @@ EDGE_CASES = {
 @pytest.mark.parametrize("name", sorted(EDGE_CASES))
 @pytest.mark.parametrize("strategy", list(Strategy))
 def test_edge_cases_match_reference(name, strategy):
-    assert_matches_reference_and_round_trips(run_strategy(EDGE_CASES[name], strategy))
+    assert_matches_reference_and_round_trips(run_strategy(EDGE_CASES[name], 1, strategy))
 
 
 def test_single_vertex_trace_has_no_rounds():
@@ -337,12 +339,34 @@ MALFORMED_DOCUMENTS = {
     "settled_round_not_listed": lambda doc: _with_rows(
         doc, lambda row: {**row, "settled_round": 99} if row["settled_round"] else row
     ),
+    # snapshots that contradict the final labels
+    "snapshot_settles_early": lambda doc: _with_round_row(
+        doc, 0, 8, status="permanent", settled_round=1
+    ),
+    "final_labels_not_last_snapshot": lambda doc: {
+        **_with_rows(
+            doc, lambda row: {**row, "value": "9", "predecessors": [5]} if row["vertex"] == 8 else row
+        ),
+        "final_distances": doc["final_distances"][:-1] + ["9"],
+    },
+    "no_rounds_but_final_labels_reached": lambda doc: {
+        **_with_rows(
+            doc,
+            lambda row: row if row["settled_round"] == 0
+            else {**row, "status": "temporary", "settled_round": None},
+        ),
+        "rounds": [],
+        "rounds_count": 0,
+        "rounds_count_incl_source": 1,
+    },
 }
 
 ROUND_CONTRADICTIONS = [
     "round_index_not_position",
     "newly_permanent_not_final_round",
     "frontier_not_previous_batch",
+    "snapshot_settles_early",
+    "final_labels_not_last_snapshot",
 ]
 
 
@@ -350,6 +374,12 @@ def _with_round(doc: dict, index: int, **fields) -> dict:
     rounds = list(doc["rounds"])
     rounds[index] = {**rounds[index], **fields}
     return {**doc, "rounds": rounds}
+
+
+def _with_round_row(doc: dict, index: int, vertex: int, **fields) -> dict:
+    labels = [{**row, **fields} if row["vertex"] == vertex else row
+              for row in doc["rounds"][index]["labels"]]
+    return _with_round(doc, index, labels=labels)
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_DOCUMENTS))

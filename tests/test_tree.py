@@ -9,7 +9,6 @@ from pathlab import (
     GraphTooLarge,
     INFINITY,
     Strategy,
-    UnsettledVertex,
     VertexOutOfRange,
     Weight,
     build_tree_matrix,
@@ -19,6 +18,7 @@ from pathlab import (
     run_modified,
 )
 from pathlab.graph import MAX_VERTICES
+from pathlab.bench import run_strategy
 from pathlab.render import render_tree_matrix
 
 from .strategies import column_scan_parent, graphs, reference_tree_entries
@@ -75,12 +75,6 @@ class TestBuildTreeMatrix:
         tree = build_tree_matrix(g, run_classic(g, 1))
         assert tree.parent(3) is None
 
-    def test_strict_mode_raises_for_unsettled_target(self):
-        g = Graph.from_edges(3, [(1, 2, 1)])
-        trace = run_classic(g, 1, target=3)
-        with pytest.raises(UnsettledVertex):
-            build_tree_matrix(g, trace, strict=True)
-
     def test_works_for_batched_runs(self, paper8):
         trace = run_modified(paper8, 1, strategy=Strategy.STABLE_BATCH)
         tree = build_tree_matrix(paper8, trace)
@@ -124,10 +118,7 @@ class TestExtractPath:
 @given(graphs(), st.sampled_from(list(Strategy)), st.data())
 def test_parent_links_match_the_column_scan(g, strategy, data):
     source = data.draw(st.integers(1, g.n))
-    if strategy is Strategy.SINGLE_MIN:
-        trace = run_classic(g, source)
-    else:
-        trace = run_modified(g, source, strategy=strategy)
+    trace = run_strategy(g, source, strategy)
     tree = build_tree_matrix(g, trace)
     entries = reference_tree_entries(g, trace)
     assert [tree.parent(v) for v in g.vertices()] == [
