@@ -41,6 +41,8 @@ def _load_graph(path_str: str) -> Graph:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise PathlabError(f"cannot read {path_str}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise PathlabError(f"cannot read {path_str}: {exc}") from None
     if path.suffix == ".edges":
         return parse_edge_list(text)
     return parse_matrix_text(text)
@@ -155,6 +157,8 @@ def bench(nodes, density, graphs, seed, tie_bias, weights, source, out):
         lo, hi = int(lo_text), int(hi_text)
     except ValueError:
         raise click.UsageError(f"--weights must be LO:HI, got {weights!r}")
+    if graphs < 0:
+        raise click.UsageError("--graphs must be >= 0")
     try:
         spec = bench_mod.GraphSpec(
             n=nodes,

@@ -20,17 +20,17 @@ entries left behind by a later improvement or a settle are skipped when they
 surface. STABLE_BATCH also keeps the set of finite temporary labels.
 
 Every round is recorded with a label snapshot so runs can be replayed,
-rendered, and regression-tested against golden traces. A label state is
-three lists: values, predecessor sets and settling rounds. A vertex is
-permanent exactly when its settling round is set, so its status and the next
-round's index are derived, not stored. The engine writes its own three lists
-and records each round as a ``LabelState`` over copies of them. Predecessor
-sets are immutable ``frozenset``s that a change replaces rather than
-mutates, so a snapshot shares the sets and weights with the live lists. A
-run costs O(n + m log m) for relaxation and selection, plus O(n) list
-copying per round for the snapshots, which is O(n²) over the up to n - 1
-rounds of SINGLE_MIN; a run raises GraphTooLarge rather than let them pass
-``MAX_SNAPSHOT_CELLS``.
+rendered, and regression-tested against golden traces. A label state is one
+list of rows, one immutable ``(value, predecessors, settled round)`` tuple
+per vertex: a cell of the paper's iteration table. A vertex is permanent
+exactly when its settling round is set, so its status and the next round's
+index are derived, not stored. A change replaces the vertex's row, never
+mutates it, so the engine records each round as a ``LabelState`` over one
+copy of its live list, and every snapshot shares the rows of the vertices
+whose labels did not change. A run costs O(n + m log m) for relaxation and
+selection, plus one O(n) list copy per round for the snapshots, which is
+O(n²) over the up to n - 1 rounds of SINGLE_MIN; a run raises GraphTooLarge
+rather than let them pass ``MAX_SNAPSHOT_CELLS``.
 
 :func:`relax_step` and :func:`select_permanent` perform one relax and one
 select move over a whole ``LabelState``; they are the straightforward
@@ -40,18 +40,19 @@ reference the engine is tested against.
 from __future__ import annotations
 
 import enum
-from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
+from operator import itemgetter
 
 from .errors import FrontierNotPermanent, VertexOutOfRange
 from .graph import MAX_VERTICES, Graph, check_size, check_vertex
 from .weights import INFINITY, Weight
 
-# Most label cells (n per round) a run's snapshots may hold, about 24 bytes
-# each: every run on a graph within the dense cap fits, and a larger edge list
-# gets GraphTooLarge once its trace would outgrow them.
+# Most label cells (n per round) a run's snapshots may hold, about 8 bytes
+# each, a reference to a shared row: every run on a graph within the dense
+# cap fits, and a larger edge list gets GraphTooLarge once its trace would
+# outgrow them.
 MAX_SNAPSHOT_CELLS = MAX_VERTICES**2
 
 
@@ -62,110 +63,92 @@ class Strategy(enum.Enum):
 
 
 class LabelState:
-    """Per-vertex label value, predecessor set, and settling round.
+    """Per-vertex rows ``(value, predecessors, settled round)``, vertex v at
+    v - 1.
 
     A vertex is permanent exactly when its settling round is not None.
     Predecessors hold *all* minimizers seen so far: a strict improvement
-    replaces the set, an equal-value alternative extends it. Sets are never
-    mutated in place, only replaced, so :meth:`copy` is three list copies
-    whose snapshots share the sets. Confined to a single run; use
-    :meth:`copy` for snapshots.
+    replaces the set, an equal-value alternative extends it. A row is an
+    immutable tuple of a ``Weight``, a ``frozenset`` and a round, and a change
+    replaces it, so :meth:`copy` is one list copy whose snapshot shares the
+    rows. Confined to a single run; use :meth:`copy` for snapshots.
     """
 
-    __slots__ = ("_values", "_preds", "_settled")
+    __slots__ = ("_rows",)
 
-    def __init__(
-        self,
-        values: list[Weight],
-        preds: list[frozenset[int]],
-        settled: list[int | None],
-    ):
-        self._values = values
-        self._preds = preds
-        self._settled = settled
+    def __init__(self, rows: list[tuple[Weight, frozenset[int], int | None]]):
+        self._rows = rows
 
     @classmethod
     def initial(cls, n: int, source: int) -> "LabelState":
-        values = [INFINITY] * n
-        preds = [frozenset()] * n
-        settled: list[int | None] = [None] * n
-        values[source - 1] = Weight.zero()
-        settled[source - 1] = 0
-        return cls(values, preds, settled)
+        rows = [(INFINITY, frozenset(), None)] * n
+        rows[source - 1] = (Weight.zero(), frozenset(), 0)
+        return cls(rows)
 
     @property
     def n(self) -> int:
-        return len(self._values)
+        return len(self._rows)
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
     def value(self, v: int) -> Weight:
-        return self._values[v - 1]
+        return self._rows[v - 1][0]
 
     def predecessors(self, v: int) -> frozenset[int]:
-        return frozenset(self._preds[v - 1])
+        return self._rows[v - 1][1]
 
     def is_permanent(self, v: int) -> bool:
-        return self._settled[v - 1] is not None
+        return self._rows[v - 1][2] is not None
 
     def settled_round(self, v: int) -> int | None:
-        return self._settled[v - 1]
+        return self._rows[v - 1][2]
 
     def all_permanent(self) -> bool:
-        return None not in self._settled
+        return None not in map(itemgetter(2), self._rows)
 
     def permanent_vertices(self) -> frozenset[int]:
         return frozenset(v for v in self.vertices() if self.is_permanent(v))
 
     def distances(self) -> tuple[Weight, ...]:
-        return tuple(self._values)
+        return tuple(map(itemgetter(0), self._rows))
 
-    def columns(
-        self,
-    ) -> tuple[tuple[Weight, ...], tuple[frozenset[int], ...], tuple[int | None, ...]]:
-        """Values, predecessor sets and settled rounds, vertex v at v - 1.
-
-        The elements are the stored objects themselves, which snapshots share
-        with the state they were copied from.
-        """
-        return tuple(self._values), tuple(self._preds), tuple(self._settled)
+    def rows(self) -> tuple[tuple[Weight, frozenset[int], int | None], ...]:
+        """The rows themselves, which snapshots share with the state they
+        were copied from."""
+        return tuple(self._rows)
 
     def copy(self) -> "LabelState":
-        return LabelState(list(self._values), list(self._preds), list(self._settled))
+        return LabelState(list(self._rows))
 
-    def improve(self, v: int, value: Weight, preds: AbstractSet[int]) -> None:
+    def improve(self, v: int, value: Weight, preds: frozenset[int]) -> None:
         """Strict improvement: new value, predecessor set replaced."""
         if self.is_permanent(v):
             raise ValueError(f"vertex {v} is already permanent")
-        self._values[v - 1] = value
-        self._preds[v - 1] = frozenset(preds)
+        self._rows[v - 1] = (value, preds, None)
 
-    def add_predecessors(self, v: int, preds: AbstractSet[int]) -> None:
+    def add_predecessors(self, v: int, preds: frozenset[int]) -> None:
         """Equal-value alternatives: extend the predecessor set only."""
-        if self.is_permanent(v):
+        value, old, settled = self._rows[v - 1]
+        if settled is not None:
             raise ValueError(f"vertex {v} is already permanent")
-        self._preds[v - 1] = frozenset(self._preds[v - 1]).union(preds)
+        self._rows[v - 1] = (value, old | preds, None)
 
     def settle(self, v: int, round_index: int) -> None:
-        if self.is_permanent(v):
+        value, preds, settled = self._rows[v - 1]
+        if settled is not None:
             raise ValueError(f"vertex {v} is already permanent")
-        self._settled[v - 1] = round_index
+        self._rows[v - 1] = (value, preds, round_index)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabelState):
             return NotImplemented
-        return (
-            self._values == other._values
-            and self._preds == other._preds
-            and self._settled == other._settled
-        )
+        return self._rows == other._rows
 
     def __repr__(self) -> str:
         rows = ", ".join(
-            f"{v}:[{self.value(v)},{sorted(self._preds[v - 1])},"
-            f"{'permanent' if self.is_permanent(v) else 'temporary'}]"
-            for v in self.vertices()
+            f"{v}:[{value},{sorted(preds)},{'temporary' if settled is None else 'permanent'}]"
+            for v, (value, preds, settled) in enumerate(self._rows, start=1)
         )
         return f"<LabelState {rows}>"
 
@@ -259,10 +242,10 @@ def relax_step(
             continue
         old = new.value(j)
         if best < old:
-            new.improve(j, best, minimizers)
+            new.improve(j, best, frozenset(minimizers))
             changed.add(j)
         elif best == old:
-            new.add_predecessors(j, minimizers)
+            new.add_predecessors(j, frozenset(minimizers))
     return new, frozenset(changed)
 
 
@@ -278,11 +261,9 @@ def select_permanent(
     is finite, which signals exhaustion to the caller. The batch's round is
     one past the highest settling round so far.
     """
-    values, _, settled = labels.columns()
+    rows = labels.rows()
     finite = [
-        (w, v)
-        for v, w, r in zip(labels.vertices(), values, settled)
-        if r is None and w.is_finite
+        (w, v) for v, (w, _, r) in enumerate(rows, start=1) if r is None and w.is_finite
     ]
     if not finite:
         return frozenset()
@@ -296,7 +277,7 @@ def select_permanent(
         chosen = at_minimum | {v for _, v in finite if v not in changed}
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown strategy {strategy!r}")
-    round_index = max((r for r in settled if r is not None), default=-1) + 1
+    round_index = max((r for _, _, r in rows if r is not None), default=-1) + 1
     for v in sorted(chosen):
         labels.settle(v, round_index)
     return frozenset(chosen)
@@ -335,9 +316,9 @@ def _run(
     check_vertex(g, source)
     if target is not None:
         check_vertex(g, target)
-    # The engine writes its own three lists directly; the round API functions
+    # The engine writes its own row list directly; the round API functions
     # above do the same moves one LabelState method at a time.
-    values, preds, settled = map(list, LabelState.initial(g.n, source).columns())
+    rows = list(LabelState.initial(g.n, source).rows())
     adjacency = g.adjacency
     # The Fraction inside each finite label (None for INFINITY): heap keys and
     # the operands of relaxation.
@@ -350,14 +331,15 @@ def _run(
     frontier: frozenset[int] = frozenset({source})
     terminated_early = False
     while unsettled:
-        if stop_at_target and target is not None and settled[target - 1] is not None:
+        if stop_at_target and target is not None and rows[target - 1][2] is not None:
             terminated_early = True
             break
         changed = set()
         for u in frontier:
             base = exact[u - 1]
             for v, w in adjacency[u - 1]:
-                if settled[v - 1] is not None:
+                row = rows[v - 1]
+                if row[2] is not None:
                     continue
                 candidate = base + w.fraction
                 old = exact[v - 1]
@@ -365,13 +347,12 @@ def _run(
                     if old is None:
                         finite_temporary.add(v)
                     exact[v - 1] = candidate
-                    values[v - 1] = Weight(candidate)
-                    preds[v - 1] = frozenset((u,))
+                    rows[v - 1] = (Weight(candidate), frozenset((u,)), None)
                     heappush(heap, (candidate, v))
                     changed.add(v)
                 elif candidate == old:
-                    preds[v - 1] = preds[v - 1] | {u}
-        newly = _pop_minimum(heap, exact, settled, strategy is not Strategy.SINGLE_MIN)
+                    rows[v - 1] = (row[0], row[1] | {u}, None)
+        newly = _pop_minimum(heap, exact, rows, strategy is not Strategy.SINGLE_MIN)
         if not newly:
             break
         if strategy is Strategy.STABLE_BATCH:
@@ -379,11 +360,12 @@ def _run(
         round_index = len(rounds) + 1
         check_size(round_index * g.n, MAX_SNAPSHOT_CELLS, "snapshot label cells")
         for v in newly:
-            settled[v - 1] = round_index
+            value, preds, _ = rows[v - 1]
+            rows[v - 1] = (value, preds, round_index)
         finite_temporary -= newly
         unsettled -= len(newly)
         newly = frozenset(newly)
-        snapshot = LabelState(list(values), list(preds), list(settled))
+        snapshot = LabelState(list(rows))
         rounds.append(RoundRecord(round_index, frontier, snapshot, newly))
         frontier = newly
     return RunTrace(
@@ -391,7 +373,7 @@ def _run(
         source=source,
         target=target,
         rounds=tuple(rounds),
-        final_labels=LabelState(values, preds, settled),
+        final_labels=LabelState(rows),
         terminated_early=terminated_early,
     )
 
@@ -399,7 +381,7 @@ def _run(
 def _pop_minimum(
     heap: list[tuple[Fraction, int]],
     exact: list[Fraction | None],
-    settled: list[int | None],
+    rows: list[tuple[Weight, frozenset[int], int | None]],
     whole_tie_class: bool,
 ) -> set[int]:
     """Pop the lowest-id temporary vertex at the minimum, or all tied with it.
@@ -412,7 +394,7 @@ def _pop_minimum(
     chosen: set[int] = set()
     while heap and (minimum is None or heap[0][0] == minimum):
         value, v = heappop(heap)
-        if settled[v - 1] is None and exact[v - 1] == value:
+        if rows[v - 1][2] is None and exact[v - 1] == value:
             chosen.add(v)
             minimum = value
             if not whole_tie_class:

@@ -8,17 +8,18 @@ layout carrying every round-record field exactly (weights as exact strings),
 and round-trips via :func:`trace_from_json`.
 
 Cost model. A trace holds one label snapshot per round, and snapshots share
-their weights and predecessor sets with the run's live state, so a vertex's
-row differs from the previous round's only when its label changed.
-:func:`render_trace_text` and :func:`trace_to_json` keep a memo, for the
-length of one call, from each distinct row to its formatted text. Formatting
-work is therefore proportional to the number of distinct rows (about the
-number of label changes), and the remaining work is one dict lookup per cell
-plus joins proportional to the output bytes. :func:`trace_from_json` decodes
-with the C JSON parser and, within one call, parses each distinct weight
-string and vertex list once, and checks every field the document repeats
-(algorithm, round counts, final distances, statuses, each round's settled
-rounds and the final labels) against the one it is derived from.
+their immutable rows with the run's live state, so a vertex's row is a new
+object only when its label changed. :func:`render_trace_text` and
+:func:`trace_to_json` keep a memo, for the length of one call, from each
+vertex and the identity of its row to the formatted text. Formatting work
+is therefore proportional to the number of distinct rows (about the number
+of label changes), and the remaining work is one dict lookup per cell plus
+joins proportional to the output bytes. :func:`trace_from_json` decodes with
+the C JSON parser and, within one call, builds each distinct row and parses
+each distinct weight string and vertex list once, and checks every field the
+document repeats (algorithm, round counts, final distances, statuses, each
+round's settled rounds and the final labels) against the one it is derived
+from.
 """
 
 from __future__ import annotations
@@ -52,18 +53,16 @@ def _formatted_rows(labels: LabelState, memo: dict, fmt: Callable[..., str]) -> 
     """``fmt(v, value, predecessors, settled_round)`` for every vertex v of
     ``labels``, formatted once per distinct row.
 
-    ``memo`` belongs to one call. Rows are keyed by the identity of their
-    weight and predecessor set, and by the settled round, which also fixes
-    the status: snapshots share those objects with the live state, and the
-    trace keeps every one of them alive for the whole call, so an identity
-    names one content. Equal contents held in distinct objects only cost an
-    extra format.
+    ``memo`` belongs to one call. Rows are keyed by vertex and row identity:
+    snapshots share their rows with the live state, and the trace keeps every
+    row alive for the whole call, so an identity names one content. Equal
+    contents held in distinct rows only cost an extra format.
     """
-    values, preds, settled = labels.columns()
-    keys = list(zip(labels.vertices(), map(id, values), map(id, preds), settled))
+    rows = labels.rows()
+    keys = list(zip(labels.vertices(), map(id, rows)))
     out = list(map(memo.get, keys))
     for i in [i for i, text in enumerate(out) if text is None]:
-        out[i] = memo[keys[i]] = fmt(i + 1, values[i], preds[i], settled[i])
+        out[i] = memo[keys[i]] = fmt(i + 1, *rows[i])
     return out
 
 
@@ -170,6 +169,7 @@ def trace_to_json(trace: RunTrace) -> str:
 
 
 _ROW_FIELDS = itemgetter("vertex", "value", "predecessors", "status", "settled_round")
+_SETTLED = itemgetter(2)
 
 # Whether a status names a permanent label; any other status is unknown.
 _STATUS_IS_PERMANENT = {"temporary": False, "permanent": True}
@@ -192,15 +192,20 @@ def _vertices(n: int, values: tuple) -> frozenset[int]:
     return frozenset(_vertex(n, v) for v in values)
 
 
+def _row(weight: Callable, vertex_set: Callable, value, preds: tuple, settled):
+    return weight(value), vertex_set(preds), settled
+
+
 class _TraceLoader:
-    """Builds one RunTrace from decoded JSON. Each distinct weight string and
-    vertex list is parsed once per load, and equal ones share one object, as
-    they do in a trace the engine recorded."""
+    """Builds one RunTrace from decoded JSON. Each distinct row, weight
+    string and vertex list is built once per load, and equal ones share one
+    object, as unchanged rows do in a trace the engine recorded."""
 
     def __init__(self, n: int):
         self.n = n
         self.weight = cache(Weight.from_str)
         self.vertex_set = cache(partial(_vertices, n))
+        self.row = cache(partial(_row, self.weight, self.vertex_set))
         self.vertex_ids = tuple(range(1, n + 1))
 
     def vertices(self, items: list) -> frozenset[int]:
@@ -219,11 +224,7 @@ class _TraceLoader:
         permanent = list(map(is_not, settled, repeat(None)))
         if list(map(_STATUS_IS_PERMANENT.get, status)) != permanent:
             raise ValueError("a status is unknown or disagrees with its settled_round")
-        return LabelState(
-            list(map(self.weight, value)),
-            list(map(self.vertex_set, map(tuple, preds))),
-            list(settled),
-        )
+        return LabelState(list(map(self.row, value, map(tuple, preds), settled)))
 
     def round(self, item: dict) -> RoundRecord:
         return RoundRecord(
@@ -288,7 +289,7 @@ def _check_rounds(trace: RunTrace) -> None:
     O(n) per round, in C-speed list copies and comparisons."""
     final = trace.final_labels
     batches: list[list[int]] = [[] for _ in range(len(trace.rounds) + 1)]
-    for v, r in enumerate(final.columns()[2], start=1):
+    for v, (_, _, r) in enumerate(final.rows(), start=1):
         if r is not None:
             if not 0 <= r < len(batches):
                 raise ValueError(f"vertex {v} settles in round {r}, which is not listed")
@@ -297,14 +298,14 @@ def _check_rounds(trace: RunTrace) -> None:
         raise ValueError("only the source settles in round 0")
     sets = list(map(frozenset, batches))
     last = LabelState.initial(final.n, trace.source)
-    settled = list(last.columns()[2])
+    settled = list(map(_SETTLED, last.rows()))
     for k, record in enumerate(trace.rounds, start=1):
         if (record.round_index, record.frontier, record.newly_permanent) != (k, sets[k - 1], sets[k]):
             raise ValueError("a round record disagrees with its position or the final settled rounds")
         for v in batches[k]:
             settled[v - 1] = k
         last = record.label_snapshot
-        if last.columns()[2] != tuple(settled):
+        if list(map(_SETTLED, last.rows())) != settled:
             raise ValueError(f"round {k}'s settled rounds disagree with the final ones")
     if final != last:
         raise ValueError("final_labels are not the labels of the last round")

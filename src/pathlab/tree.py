@@ -76,11 +76,10 @@ def build_tree_matrix(g: Graph, trace: RunTrace) -> TreeMatrix:
     """
     parents: list[int | None] = [None] * g.n
     weights: list[Weight | None] = [None] * g.n
-    _, preds, settled = trace.final_labels.columns()
-    for j in g.vertices():
-        if j == trace.source or settled[j - 1] is None:
+    for j, (_, preds, settled) in enumerate(trace.final_labels.rows(), start=1):
+        if j == trace.source or settled is None:
             continue
-        parent = parents[j - 1] = min(preds[j - 1])
+        parent = parents[j - 1] = min(preds)
         weights[j - 1] = g.weight(parent, j)
     return TreeMatrix(g.n, trace.source, tuple(parents), tuple(weights))
 

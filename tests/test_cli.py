@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathlab import bench, labeling
 from pathlab.cli import main
@@ -34,6 +37,14 @@ BAD_GRAPHS = {
     "self_loop.edges": "2 1\n1 1 3\n",
     "vertex_out_of_range.edges": "2 1\n1 3 1\n",
     "two_violations.mat": "3\n0 1 -1\n1 5 1\n1 1 0\n",
+}
+
+# The options after the graph file of each command that reads one.
+FILE_COMMANDS = {
+    "trace": ["--source", "1", "--algo", "classic"],
+    "path": ["--source", "1", "--target", "2"],
+    "compare": ["--source", "1"],
+    "oracle": ["--source", "1"],
 }
 
 
@@ -296,6 +307,34 @@ class TestOracle:
         assert "error:" in result.stderr and "1e5000" in result.stderr
 
 
+class TestGraphFileBytes:
+    @pytest.mark.parametrize("command", list(FILE_COMMANDS))
+    def test_non_utf8_file_is_input_error(self, runner, tmp_path, command):
+        bad = tmp_path / "bad.mat"
+        bad.write_bytes(b"\xff\xfe2\n0 1\n1 0\n")
+        result = runner.invoke(main, [command, str(bad), *FILE_COMMANDS[command]])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith(f"error: cannot read {bad}: 'utf-8' codec")
+        assert result.stdout == ""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.binary(max_size=256))
+    def test_arbitrary_bytes_exit_cleanly(self, data):
+        runner = CliRunner()
+        with tempfile.TemporaryDirectory() as tmp:
+            for name in ["graph.mat", "graph.edges"]:
+                path = Path(tmp) / name
+                path.write_bytes(data)
+                for argv in [
+                    ["oracle", str(path), "--source", "1"],
+                    ["trace", str(path), "--source", "1", "--algo", "tiebatch"],
+                ]:
+                    result = runner.invoke(main, argv)
+                    assert result.exit_code in (0, 1, 2), result.output
+                    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 class TestBench:
     def test_writes_csv_report(self, runner, tmp_path):
         out = tmp_path / "report.csv"
@@ -363,6 +402,18 @@ class TestBench:
         assert time.perf_counter() - start < 0.5
         assert result.exit_code == 2
         assert str(MAX_EDGES) in result.stderr
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_negative_graph_count_is_usage_error(self, runner, tmp_path):
+        result = runner.invoke(
+            main,
+            [
+                "bench", "--nodes", "4", "--density", "0.5", "--graphs", "-1",
+                "--seed", "1", "--out", str(tmp_path / "r.csv"),
+            ],
+        )
+        assert result.exit_code == 2
+        assert "--graphs must be >= 0" in result.stderr
         assert not (tmp_path / "r.csv").exists()
 
     def test_out_of_range_density_is_usage_error(self, runner, tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from pathlab import (
@@ -14,6 +16,7 @@ from pathlab import (
     bellman_ford,
     enumerate_min_path,
     init_labels,
+    parse_edge_list,
     parse_matrix_text,
     relax_step,
     run_classic,
@@ -23,6 +26,8 @@ from pathlab import (
 from pathlab import labeling
 from pathlab.bench import run_strategy
 from pathlab.graph import MAX_VERTICES
+
+from .test_scale import sparse_edge_list
 
 
 def single_vertex():
@@ -105,7 +110,7 @@ def labels_with_temporaries(n: int, values: dict[int, int]) -> LabelState:
     """Source 1 permanent; the given vertices temporary at finite values."""
     labels = LabelState.initial(n, 1)
     for v, value in values.items():
-        labels.improve(v, Weight.finite(value), {1})
+        labels.improve(v, Weight.finite(value), frozenset({1}))
     return labels
 
 
@@ -139,9 +144,12 @@ class TestSelectPermanent:
         # a state built directly, as trace_from_json builds one, already has
         # vertices settled in rounds 0..2
         labels = LabelState(
-            [Weight.finite(v) for v in (0, 1, 2, 5)],
-            [set(), {1}, {2}, {3}],
-            [0, 2, 1, None],
+            [
+                (Weight.finite(0), frozenset(), 0),
+                (Weight.finite(1), frozenset({1}), 2),
+                (Weight.finite(2), frozenset({2}), 1),
+                (Weight.finite(5), frozenset({3}), None),
+            ]
         )
         assert labels.is_permanent(3)
         assert not labels.is_permanent(4)
@@ -274,14 +282,10 @@ class TestTraceInvariants:
         assert before.predecessors(5) == {2}
         assert after.predecessors(5) == {2, 3}
         assert type(before.predecessors(5)) is frozenset
-        # a state holding plain sets, as trace_from_json builds, is equal
-        rebuilt = LabelState(
-            [before.value(v) for v in before.vertices()],
-            [set(before.predecessors(v)) for v in before.vertices()],
-            [before.settled_round(v) for v in before.vertices()],
-        )
+        # a state rebuilt from equal rows in new tuples is equal
+        rebuilt = LabelState([(value, preds, r) for value, preds, r in before.rows()])
         assert rebuilt == before
-        assert type(rebuilt.predecessors(5)) is frozenset
+        assert rebuilt.rows()[4] is not before.rows()[4]
 
     def test_rerun_is_identical(self, paper8_tora):
         first = run_classic(paper8_tora, 1)
@@ -307,3 +311,31 @@ class TestSnapshotBudget:
         assert run_strategy(self.chain(5), 1, strategy).rounds_count == 4
         with pytest.raises(GraphTooLarge, match="24 snapshot label cells exceed the limit of 20"):
             run_strategy(self.chain(6), 1, strategy)
+
+
+class TestRowSharing:
+    def test_classic_snapshots_cost_one_reference_per_cell(self):
+        # a snapshot is one list of references to shared rows, so n = 1000
+        # takes about 1000 rounds of 8 KB each
+        g = parse_edge_list(sparse_edge_list(1000, 5, seed=3))
+        tracemalloc.start()
+        try:
+            trace = run_classic(g, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.rounds_count > 900
+        assert peak < 12 * 2**20
+
+    @pytest.mark.parametrize("graph", ["paper8", "tie4", "sparse"])
+    def test_a_snapshot_keeps_the_row_of_every_unchanged_label(self, request, graph):
+        if graph == "sparse":
+            g = parse_edge_list(sparse_edge_list(60, 3, seed=5))
+        else:
+            g = request.getfixturevalue(graph)
+        trace = run_classic(g, 1)
+        snapshots = [r.label_snapshot for r in trace.rounds] + [trace.final_labels]
+        for before, after in zip(snapshots, snapshots[1:]):
+            for old, new in zip(before.rows(), after.rows()):
+                # an improvement, an extension or a settle writes a new row
+                assert (old is new) is (old == new)

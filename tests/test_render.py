@@ -280,7 +280,7 @@ def test_loaded_predecessor_sets_are_frozensets(paper8):
     recovered = trace_from_json(trace_to_json(run_classic(paper8, 1)))
     for labels in [recovered.final_labels] + [r.label_snapshot for r in recovered.rounds]:
         assert all(type(labels.predecessors(v)) is frozenset for v in labels.vertices())
-        assert all(type(p) is frozenset for p in labels.columns()[1])
+        assert all(type(p) is frozenset for _, p, _ in labels.rows())
 
 
 def _paper8_document(paper8) -> dict:
