@@ -170,6 +170,8 @@ def bench(nodes, density, graphs, seed, tie_bias, weights, source, out):
         )
     except ValueError as exc:
         raise click.UsageError(str(exc))
+    if not 1 <= source <= nodes:
+        raise click.UsageError(f"--source must be in 1..{nodes}")
     try:
         report = bench_mod.run_suite([spec], graphs, source=source)
     except PathlabError as exc:

@@ -7,7 +7,9 @@ i -> j, zero on the diagonal and INFINITY where no edge exists, is derived:
 :meth:`Graph.weight` reads one entry in O(1) from per-vertex dicts built on
 first use, and :attr:`Graph.weights` builds the whole matrix only for callers
 that print it. So an edge list costs O(n + m) to parse and to store, and a
-matrix file O(n²) only because it has n² tokens.
+matrix file O(n²) only because it has n² tokens. :attr:`Graph.scaled_adjacency`
+is the same out-edges with each weight an exact integer, scaled by the lcm of
+the weight denominators, built once per graph for the labeling engine.
 
 Each input form has one checking path. ``Graph(n, adjacency)`` and
 :meth:`Graph.from_matrix` are trusted constructors for code that already holds
@@ -36,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import compress
+from math import lcm
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -121,6 +124,17 @@ class Graph:
         return tuple(
             tuple(zero if u == v else out.get(v, INFINITY) for v in self.vertices())
             for u, out in enumerate(self._out, start=1)
+        )
+
+    @cached_property
+    def scaled_adjacency(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+        """``(scale, out)``: ``scale`` is the lcm of the weight denominators,
+        and ``out[u - 1]`` lists u's out-edges as ``(v, weight * scale)``, an
+        exact ``int``, in the order of :attr:`adjacency`."""
+        scale = lcm(*{w.fraction.denominator for out in self.adjacency for _, w in out})
+        return scale, tuple(
+            tuple([(v, w.fraction.numerator * (scale // w.fraction.denominator)) for v, w in out])
+            for out in self.adjacency
         )
 
     def edges(self) -> Iterator[tuple[int, int, Weight]]:

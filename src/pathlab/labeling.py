@@ -13,11 +13,15 @@ permanent. The three selection strategies differ only in the batch:
   (see the counterexample fixture).
 
 The run engine relaxes only the out-edges of the frontier, read from the
-graph's stored ``Graph.adjacency``, and selects from a lazy-deletion heap keyed
-``(exact value, vertex id)``: the heap top is the lowest id at the minimum, a
-tie batch is the run of entries sharing the top value (a Dial bucket), and
-entries left behind by a later improvement or a settle are skipped when they
-surface. STABLE_BATCH also keeps the set of finite temporary labels.
+graph's ``Graph.scaled_adjacency``: every weight times ``scale``, the lcm of
+the weight denominators, as an exact ``int``. It keeps each finite label as
+such an integer, relaxes with ``int`` additions and selects from a
+lazy-deletion heap keyed ``(scaled value, vertex id)``: the heap top is the
+lowest id at the minimum, a tie batch is the run of entries sharing the top
+value (a Dial bucket), and entries left behind by a later improvement or a
+settle are skipped when they surface. STABLE_BATCH also keeps the set of
+finite temporary labels. The rows hold ``Weight``s, one per distinct distance
+per run, so equal values in a trace are one object.
 
 Every round is recorded with a label snapshot so runs can be replayed,
 rendered, and regression-tested against golden traces. A label state is one
@@ -319,12 +323,14 @@ def _run(
     # The engine writes its own row list directly; the round API functions
     # above do the same moves one LabelState method at a time.
     rows = list(LabelState.initial(g.n, source).rows())
-    adjacency = g.adjacency
-    # The Fraction inside each finite label (None for INFINITY): heap keys and
-    # the operands of relaxation.
-    exact: list[Fraction | None] = [None] * g.n
-    exact[source - 1] = Fraction(0)
-    heap: list[tuple[Fraction, int]] = []
+    scale, adjacency = g.scaled_adjacency
+    # Each finite label times ``scale`` (None for INFINITY): heap keys and the
+    # operands of relaxation. ``weight_of`` maps each scaled value to the one
+    # Weight the rows hold for it in this run.
+    exact: list[int | None] = [None] * g.n
+    exact[source - 1] = 0
+    weight_of: dict[int, Weight] = {}
+    heap: list[tuple[int, int]] = []
     finite_temporary: set[int] = set()
     unsettled = g.n - 1
     rounds: list[RoundRecord] = []
@@ -341,13 +347,16 @@ def _run(
                 row = rows[v - 1]
                 if row[2] is not None:
                     continue
-                candidate = base + w.fraction
+                candidate = base + w
                 old = exact[v - 1]
                 if old is None or candidate < old:
                     if old is None:
                         finite_temporary.add(v)
                     exact[v - 1] = candidate
-                    rows[v - 1] = (Weight(candidate), frozenset((u,)), None)
+                    value = weight_of.get(candidate)
+                    if value is None:
+                        value = weight_of[candidate] = Weight(Fraction(candidate, scale))
+                    rows[v - 1] = (value, frozenset((u,)), None)
                     heappush(heap, (candidate, v))
                     changed.add(v)
                 elif candidate == old:
@@ -379,8 +388,8 @@ def _run(
 
 
 def _pop_minimum(
-    heap: list[tuple[Fraction, int]],
-    exact: list[Fraction | None],
+    heap: list[tuple[int, int]],
+    exact: list[int | None],
     rows: list[tuple[Weight, frozenset[int], int | None]],
     whole_tie_class: bool,
 ) -> set[int]:

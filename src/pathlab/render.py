@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import cache, partial
-from itertools import repeat
+from itertools import chain, repeat
 from operator import is_not, itemgetter
 from typing import Callable
 
@@ -209,7 +209,11 @@ class _TraceLoader:
         self.vertex_ids = tuple(range(1, n + 1))
 
     def vertices(self, items: list) -> frozenset[int]:
-        return self.vertex_set(tuple(_typed(items, list)))
+        # Types are checked before the cache is asked: (True,) and (1.0,)
+        # equal (1,), so a hit would skip the check.
+        if not set(map(type, _typed(items, list))) <= {int}:
+            raise TypeError("vertices must be integers")
+        return self.vertex_set(tuple(items))
 
     def labels(self, items: list) -> LabelState:
         if len(_typed(items, list)) != self.n:
@@ -219,6 +223,8 @@ class _TraceLoader:
             raise ValueError("label rows must list vertices 1..n in order")
         if not {type(p) for p in preds} <= {list}:
             raise TypeError("predecessors must be lists")
+        if not set(map(type, chain.from_iterable(preds))) <= {int}:
+            raise TypeError("predecessors must be integers")
         if not {type(r) for r in settled} <= {int, type(None)}:
             raise TypeError("settled_round must be an integer or null")
         permanent = list(map(is_not, settled, repeat(None)))

@@ -404,6 +404,20 @@ class TestBench:
         assert str(MAX_EDGES) in result.stderr
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("graphs", ["0", "1"])
+    @pytest.mark.parametrize("source", ["0", "99"])
+    def test_source_outside_the_nodes_is_usage_error(self, runner, tmp_path, graphs, source):
+        result = runner.invoke(
+            main,
+            [
+                "bench", "--nodes", "5", "--density", "0.5", "--graphs", graphs,
+                "--seed", "1", "--source", source, "--out", str(tmp_path / "r.csv"),
+            ],
+        )
+        assert result.exit_code == 2
+        assert "--source must be in 1..5" in result.stderr
+        assert not (tmp_path / "r.csv").exists()
+
     def test_negative_graph_count_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(
             main,

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given
@@ -25,7 +26,7 @@ from pathlab import (
 from pathlab.graph import MAX_EDGES, MAX_SPARSE_VERTICES, MAX_VERTICES
 
 from .conftest import fixture_path
-from .strategies import graphs, matrices, matrix_adjacency, validate
+from .strategies import exact_weights, graphs, matrices, matrix_adjacency, validate
 
 
 # Tokens that Fraction accepts, or that are not numbers at all, but that the
@@ -350,6 +351,18 @@ def test_adjacency_lists_the_finite_off_diagonal_entries(g):
     assert [list(out) for out in g.adjacency] == expected
     assert list(g.edges()) == [(u, v, w) for u in g.vertices() for v, w in expected[u - 1]]
     assert g.weights is g.weights
+
+
+@given(graphs(max_n=8, weights=exact_weights))
+def test_scaled_adjacency_is_the_adjacency_times_the_lcm(g):
+    scale, out = g.scaled_adjacency
+    assert scale == lcm(*(w.fraction.denominator for _, _, w in g.edges()))
+    assert len(out) == g.n
+    for scaled, edges in zip(out, g.adjacency):
+        assert [v for v, _ in scaled] == [v for v, _ in edges]
+        for (_, c), (_, w) in zip(scaled, edges):
+            assert type(c) is int
+            assert Fraction(c, scale) == w.fraction
 
 
 @given(matrices(), st.data())

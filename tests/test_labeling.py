@@ -327,6 +327,20 @@ class TestRowSharing:
         assert trace.rounds_count > 900
         assert peak < 12 * 2**20
 
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_equal_values_in_a_run_are_one_weight(self, strategy):
+        # weights 1..9 out of 3 per vertex: many vertices share a distance
+        g = parse_edge_list(sparse_edge_list(60, 3, seed=5))
+        trace = run_strategy(g, 1, strategy)
+        first: dict[Weight, Weight] = {}
+        finite = 0
+        for labels in [r.label_snapshot for r in trace.rounds] + [trace.final_labels]:
+            for value in labels.distances():
+                if value.is_finite:
+                    finite += 1
+                    assert first.setdefault(value, value) is value
+        assert len(first) < sum(w.is_finite for w in trace.final_distances) < finite
+
     @pytest.mark.parametrize("graph", ["paper8", "tie4", "sparse"])
     def test_a_snapshot_keeps_the_row_of_every_unchanged_label(self, request, graph):
         if graph == "sparse":

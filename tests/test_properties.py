@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathlab import (
+    Graph,
     GraphSpec,
     Strategy,
     bellman_ford,
@@ -18,7 +21,7 @@ from pathlab import (
 )
 from pathlab.bench import run_strategy
 
-from .strategies import graphs
+from .strategies import exact_weights, graphs
 
 ALL_RUNS = [
     lambda g: run_classic(g, 1),
@@ -165,7 +168,9 @@ def replay_rounds(g, source, target, stop_at_target, strategy):
     return rounds, labels, False
 
 
-@given(graphs(max_n=8), st.data())
+# Decimal weights, and rationals whose denominators 3 and 7 make the engine's
+# scale something other than a power of ten.
+@given(graphs(max_n=8) | graphs(max_n=8, weights=exact_weights), st.data())
 @settings(max_examples=150)
 def test_runs_equal_a_round_api_replay(g, data):
     source = data.draw(st.integers(1, g.n))
@@ -181,6 +186,28 @@ def test_runs_equal_a_round_api_replay(g, data):
     assert trace.final_labels == labels
     assert trace.final_distances == labels.distances()
     assert trace.terminated_early == terminated_early
+
+
+def test_runs_are_exact_across_denominators():
+    # The engine scales by lcm(10**29, 3, 7). Vertices 3, 5 and 6 are each
+    # reached by paths whose totals are equal only when summed exactly.
+    tiny, third, seventh = Fraction(1, 10**29), Fraction(1, 3), Fraction(1, 7)
+    g = Graph.from_edges(6, [
+        (1, 2, tiny), (2, 3, third), (1, 3, third + tiny),
+        (3, 4, seventh),
+        (4, 5, seventh), (1, 5, third + 2 * seventh + tiny),
+        (1, 6, third + 2 * seventh + 2 * tiny), (2, 6, third + 2 * seventh + tiny), (5, 6, tiny),
+    ])
+    oracle = bellman_ford(g, 1).distances
+    assert oracle[3].fraction == tiny + third + seventh
+    for strategy in Strategy:
+        trace = run_strategy(g, 1, strategy)
+        rounds, labels, _ = replay_rounds(g, 1, None, False, strategy)
+        assert [(r.frontier, r.label_snapshot, r.newly_permanent) for r in trace.rounds] == rounds
+        assert trace.final_labels == labels
+        assert trace.final_distances == oracle
+    classic = run_classic(g, 1).final_labels
+    assert [classic.predecessors(v) for v in (3, 5, 6)] == [{1, 2}, {1, 4}, {1, 2, 5}]
 
 
 def test_sound_strategies_match_bellman_ford_on_a_sparse_300_vertex_graph():

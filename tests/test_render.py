@@ -349,6 +349,11 @@ MALFORMED_DOCUMENTS = {
         ),
         "final_distances": doc["final_distances"][:-1] + ["9"],
     },
+    # vertex lists whose items equal an int but are not one: true and 1.0
+    # equal 1, and a list equal to one loaded earlier must not pass unchecked
+    "true_predecessor": lambda doc: _with_vertex_rows(doc, 2, predecessors=[True]),
+    "float_predecessor": lambda doc: _with_vertex_rows(doc, 2, predecessors=[1.0]),
+    "float_frontier": lambda doc: _with_round(doc, 1, frontier=[2.0]),
     "no_rounds_but_final_labels_reached": lambda doc: {
         **_with_rows(
             doc,
@@ -380,6 +385,15 @@ def _with_round_row(doc: dict, index: int, vertex: int, **fields) -> dict:
     labels = [{**row, **fields} if row["vertex"] == vertex else row
               for row in doc["rounds"][index]["labels"]]
     return _with_round(doc, index, labels=labels)
+
+
+def _with_vertex_rows(doc: dict, vertex: int, **fields) -> dict:
+    """``doc`` with ``fields`` set in ``vertex``'s row of every label list."""
+    def change(row):
+        return {**row, **fields} if row["vertex"] == vertex else row
+
+    rounds = [{**r, "labels": list(map(change, r["labels"]))} for r in doc["rounds"]]
+    return {**_with_rows(doc, change), "rounds": rounds}
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_DOCUMENTS))
