@@ -68,6 +68,8 @@ def _derived_seed(seed: int, index: int) -> int:
 def generate_graph(spec: GraphSpec, index: int) -> Graph:
     """Deterministic function of (spec, index); always a valid graph."""
     rng = random.Random(_derived_seed(spec.seed, index))
+    # One Weight per distinct value, as the parsers keep one per token.
+    weight_of: dict[int, Weight] = {}
     adjacency = []
     for i in range(spec.n):
         out = []
@@ -77,7 +79,10 @@ def generate_graph(spec: GraphSpec, index: int) -> Graph:
                     w = spec.weight_lo
                 else:
                     w = rng.randint(spec.weight_lo, spec.weight_hi)
-                out.append((j + 1, Weight.finite(w)))
+                weight = weight_of.get(w)
+                if weight is None:
+                    weight = weight_of[w] = Weight.finite(w)
+                out.append((j + 1, weight))
         adjacency.append(tuple(out))
     return Graph(spec.n, tuple(adjacency))
 

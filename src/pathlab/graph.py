@@ -131,11 +131,14 @@ class Graph:
         """``(scale, out)``: ``scale`` is the lcm of the weight denominators,
         and ``out[u - 1]`` lists u's out-edges as ``(v, weight * scale)``, an
         exact ``int``, in the order of :attr:`adjacency`."""
-        scale = lcm(*{w.fraction.denominator for out in self.adjacency for _, w in out})
-        return scale, tuple(
-            tuple([(v, w.fraction.numerator * (scale // w.fraction.denominator)) for v, w in out])
-            for out in self.adjacency
-        )
+        # Each distinct Weight object is scaled once; ids are stable while
+        # the graph keeps its weights alive.
+        weights = {id(w): w for out in self.adjacency for _, w in out}
+        scale = lcm(*{w.fraction.denominator for w in weights.values()})
+        scaled = {
+            key: w.fraction.numerator * (scale // w.fraction.denominator) for key, w in weights.items()
+        }
+        return scale, tuple(tuple([(v, scaled[id(w)]) for v, w in out]) for out in self.adjacency)
 
     def edges(self) -> Iterator[tuple[int, int, Weight]]:
         """Every edge as (u, v, weight), by ascending u, then v."""

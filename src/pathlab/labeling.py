@@ -23,18 +23,20 @@ settle are skipped when they surface. STABLE_BATCH also keeps the set of
 finite temporary labels. The rows hold ``Weight``s, one per distinct distance
 per run, so equal values in a trace are one object.
 
-Every round is recorded with a label snapshot so runs can be replayed,
-rendered, and regression-tested against golden traces. A label state is one
-list of rows, one immutable ``(value, predecessors, settled round)`` tuple
-per vertex: a cell of the paper's iteration table. A vertex is permanent
-exactly when its settling round is set, so its status and the next round's
-index are derived, not stored. A change replaces the vertex's row, never
-mutates it, so the engine records each round as a ``LabelState`` over one
-copy of its live list, and every snapshot shares the rows of the vertices
-whose labels did not change. A run costs O(n + m log m) for relaxation and
-selection, plus one O(n) list copy per round for the snapshots, which is
-O(n²) over the up to n - 1 rounds of SINGLE_MIN; a run raises GraphTooLarge
-rather than let them pass ``MAX_SNAPSHOT_CELLS``.
+Every round is recorded so runs can be replayed, rendered, and
+regression-tested against golden traces. A label state is one list of rows,
+one immutable ``(value, predecessors, settled round)`` tuple per vertex: a
+cell of the paper's iteration table. A vertex is permanent exactly when its
+settling round is set, so its status and the next round's index are derived,
+not stored. A change replaces the vertex's row, never mutates it, so a round
+is recorded as its changes: the ``(vertex, row)`` pairs of the vertices it
+improved, extended or settled, each a new row that differs from the one
+before. A run costs O(n + m log m) for relaxation and selection, and its
+trace holds O(n + changes) rows: the initial labels, shared by every round,
+and one pair per change. A round's ``label_snapshot`` is not stored; it is
+replayed on access from the initial labels through the changes so far, in
+O(n + changes). A run still raises GraphTooLarge rather than let n · rounds,
+the label cells its rendered trace writes, pass ``MAX_SNAPSHOT_CELLS``.
 
 :func:`relax_step` and :func:`select_permanent` perform one relax and one
 select move over a whole ``LabelState``; they are the straightforward
@@ -44,7 +46,7 @@ reference the engine is tested against.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
 from operator import itemgetter
@@ -53,11 +55,15 @@ from .errors import FrontierNotPermanent, VertexOutOfRange
 from .graph import MAX_VERTICES, Graph, check_size, check_vertex
 from .weights import INFINITY, Weight
 
-# Most label cells (n per round) a run's snapshots may hold, about 8 bytes
-# each, a reference to a shared row: every run on a graph within the dense
-# cap fits, and a larger edge list gets GraphTooLarge once its trace would
-# outgrow them.
+# Most label cells (n per round) a run's trace may hold once rendered: the
+# text and structured formats write every label every round, so this bounds
+# their output, not the recording, which grows with the changes. Every run on
+# a graph within the dense cap fits, and a larger edge list gets GraphTooLarge
+# once its rendered trace would outgrow it.
 MAX_SNAPSHOT_CELLS = MAX_VERTICES**2
+
+# A label cell: value, predecessors, settling round (None while temporary).
+_Row = tuple[Weight, frozenset[int], int | None]
 
 
 class Strategy(enum.Enum):
@@ -74,13 +80,14 @@ class LabelState:
     Predecessors hold *all* minimizers seen so far: a strict improvement
     replaces the set, an equal-value alternative extends it. A row is an
     immutable tuple of a ``Weight``, a ``frozenset`` and a round, and a change
-    replaces it, so :meth:`copy` is one list copy whose snapshot shares the
-    rows. Confined to a single run; use :meth:`copy` for snapshots.
+    replaces it, so :meth:`copy` is one list copy that shares the rows.
+    Confined to a single run; use :meth:`copy` for snapshots. States compare
+    equal when their rows do.
     """
 
     __slots__ = ("_rows",)
 
-    def __init__(self, rows: list[tuple[Weight, frozenset[int], int | None]]):
+    def __init__(self, rows: list[_Row]):
         self._rows = rows
 
     @classmethod
@@ -117,9 +124,8 @@ class LabelState:
     def distances(self) -> tuple[Weight, ...]:
         return tuple(map(itemgetter(0), self._rows))
 
-    def rows(self) -> tuple[tuple[Weight, frozenset[int], int | None], ...]:
-        """The rows themselves, which snapshots share with the state they
-        were copied from."""
+    def rows(self) -> tuple[_Row, ...]:
+        """The rows themselves, which copies and a trace's rounds share."""
         return tuple(self._rows)
 
     def copy(self) -> "LabelState":
@@ -147,7 +153,7 @@ class LabelState:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabelState):
             return NotImplemented
-        return self._rows == other._rows
+        return self.rows() == other.rows()
 
     def __repr__(self) -> str:
         rows = ", ".join(
@@ -157,14 +163,65 @@ class LabelState:
         return f"<LabelState {rows}>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoundRecord:
-    """One relax-then-select repetition, with the post-selection snapshot."""
+    """One relax-then-select repetition and the label rows it changed.
+
+    ``changes`` holds ``(vertex, row)`` for every vertex whose row differs
+    from the one before the round (the initial labels before round 1), by
+    ascending vertex, with the new row. Records compare by their four public
+    fields; the run's initial labels and the previous record are kept only
+    to replay :attr:`label_snapshot`.
+    """
 
     round_index: int
     frontier: frozenset[int]
-    label_snapshot: LabelState
+    changes: tuple[tuple[int, _Row], ...]
     newly_permanent: frozenset[int]
+    _initial: LabelState = field(compare=False, repr=False)
+    _previous: RoundRecord | None = field(compare=False, repr=False)
+
+    @property
+    def label_snapshot(self) -> LabelState:
+        """The labels after this round, read-only and rebuilt on access:
+        ``n`` is O(1), and the first read of a row replays the changes of
+        every round up to this one, O(n + changes)."""
+        return _Snapshot(self)
+
+
+class _Snapshot(LabelState):
+    """A round's labels: a tuple of rows replayed on first read."""
+
+    __slots__ = ("_record", "_replayed")
+
+    def __init__(self, record: RoundRecord):
+        self._record = record
+        self._replayed: tuple[_Row, ...] | None = None
+
+    @property
+    def _rows(self) -> tuple[_Row, ...]:
+        if self._replayed is None:
+            self._replayed = _replay(self._record)
+        return self._replayed
+
+    @property
+    def n(self) -> int:
+        return self._record._initial.n
+
+
+def _replay(record: RoundRecord) -> tuple[_Row, ...]:
+    """The rows after ``record``'s round: the run's initial rows with the
+    changes of every round up to it applied in order. Walks the records
+    back iteratively, so a run of any length replays without recursion."""
+    rows = list(record._initial.rows())
+    history = []
+    while record is not None:
+        history.append(record.changes)
+        record = record._previous
+    for changes in reversed(history):
+        for v, row in changes:
+            rows[v - 1] = row
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -322,7 +379,8 @@ def _run(
         check_vertex(g, target)
     # The engine writes its own row list directly; the round API functions
     # above do the same moves one LabelState method at a time.
-    rows = list(LabelState.initial(g.n, source).rows())
+    initial = LabelState.initial(g.n, source)
+    rows = list(initial.rows())
     scale, adjacency = g.scaled_adjacency
     # Each finite label times ``scale`` (None for INFINITY): heap keys and the
     # operands of relaxation. ``weight_of`` maps each scaled value to the one
@@ -334,13 +392,17 @@ def _run(
     finite_temporary: set[int] = set()
     unsettled = g.n - 1
     rounds: list[RoundRecord] = []
+    record: RoundRecord | None = None
     frontier: frozenset[int] = frozenset({source})
     terminated_early = False
     while unsettled:
         if stop_at_target and target is not None and rows[target - 1][2] is not None:
             terminated_early = True
             break
+        # improved (``changed``) and extended vertices: with the batch, the
+        # rows this round replaces
         changed = set()
+        extended = set()
         for u in frontier:
             base = exact[u - 1]
             for v, w in adjacency[u - 1]:
@@ -361,6 +423,7 @@ def _run(
                     changed.add(v)
                 elif candidate == old:
                     rows[v - 1] = (row[0], row[1] | {u}, None)
+                    extended.add(v)
         newly = _pop_minimum(heap, exact, rows, strategy is not Strategy.SINGLE_MIN)
         if not newly:
             break
@@ -373,9 +436,10 @@ def _run(
             rows[v - 1] = (value, preds, round_index)
         finite_temporary -= newly
         unsettled -= len(newly)
+        changes = tuple([(v, rows[v - 1]) for v in sorted(changed.union(extended, newly))])
         newly = frozenset(newly)
-        snapshot = LabelState(list(rows))
-        rounds.append(RoundRecord(round_index, frontier, snapshot, newly))
+        record = RoundRecord(round_index, frontier, changes, newly, initial, record)
+        rounds.append(record)
         frontier = newly
     return RunTrace(
         strategy=strategy,
@@ -390,7 +454,7 @@ def _run(
 def _pop_minimum(
     heap: list[tuple[int, int]],
     exact: list[int | None],
-    rows: list[tuple[Weight, frozenset[int], int | None]],
+    rows: list[_Row],
     whole_tie_class: bool,
 ) -> set[int]:
     """Pop the lowest-id temporary vertex at the minimum, or all tied with it.

@@ -39,9 +39,15 @@ def bellman_ford(g: Graph, source: int) -> OracleResult:
     engine and its oracle agree on a wrong distance.
     """
     check_vertex(g, source)
-    scale = lcm(*(w.fraction.denominator for _, _, w in g.edges()))
+    # Each distinct Weight object is scaled once; ids are stable for the
+    # call, since the graph keeps its weights alive.
+    weights = {id(w): w for out in g.adjacency for _, w in out}
+    scale = lcm(*{w.fraction.denominator for w in weights.values()})
+    scaled = {
+        key: w.fraction.numerator * (scale // w.fraction.denominator) for key, w in weights.items()
+    }
     tails = [
-        (u, [(v - 1, w.fraction.numerator * (scale // w.fraction.denominator)) for v, w in out])
+        (u, [(v - 1, scaled[id(w)]) for v, w in out])
         for u, out in enumerate(g.adjacency)
         if out
     ]

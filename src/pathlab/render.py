@@ -7,19 +7,19 @@ at INFINITY. The structured rendering is JSON in ``json.dumps(..., indent=2)``
 layout carrying every round-record field exactly (weights as exact strings),
 and round-trips via :func:`trace_from_json`.
 
-Cost model. A trace holds one label snapshot per round, and snapshots share
-their immutable rows with the run's live state, so a vertex's row is a new
-object only when its label changed. :func:`render_trace_text` and
-:func:`trace_to_json` keep a memo, for the length of one call, from each
-vertex and the identity of its row to the formatted text. Formatting work
-is therefore proportional to the number of distinct rows (about the number
-of label changes), and the remaining work is one dict lookup per cell plus
-joins proportional to the output bytes. :func:`trace_from_json` decodes with
-the C JSON parser and, within one call, builds each distinct row and parses
-each distinct weight string and vertex list once, and checks every field the
-document repeats (algorithm, round counts, final distances, statuses, each
-round's settled rounds and the final labels) against the one it is derived
-from.
+Cost model. A trace records each round as its changes: the rows of the
+vertices whose labels it changed (see :mod:`pathlab.labeling`).
+:func:`render_trace_text` and :func:`trace_to_json` keep one running list of
+formatted rows, one per vertex, and re-format only the rows a round changed
+before writing the list out. Formatting work is therefore proportional to n
+plus the number of label changes, and the remaining work is joins
+proportional to the output bytes. :func:`trace_from_json` decodes with the C
+JSON parser and, within one call, builds each distinct row and parses each
+distinct weight string and vertex list once; it turns each round's labels
+into changes by a C-speed comparison with the round before, and checks every
+field the document repeats (algorithm, round counts, final distances,
+statuses, each round's changes and the final labels) against the one it is
+derived from, in O(changes) beyond the decoding.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import cache, partial
-from itertools import chain, repeat
-from operator import is_not, itemgetter
-from typing import Callable
+from itertools import chain, compress, repeat
+from operator import is_not, itemgetter, ne
+from typing import Callable, Iterator
 
 from .bench import ComparisonRecord
 from .errors import MalformedInput
@@ -49,21 +49,19 @@ def fixed_decimal(value: Fraction, places: int) -> str:
     return f"{sign}{whole}.{part:0{places}d}"
 
 
-def _formatted_rows(labels: LabelState, memo: dict, fmt: Callable[..., str]) -> list[str]:
-    """``fmt(v, value, predecessors, settled_round)`` for every vertex v of
-    ``labels``, formatted once per distinct row.
+def _formatted_rounds(trace: RunTrace, fmt: Callable[..., str]) -> Iterator[list[str]]:
+    """For each round of ``trace``, ``fmt(v, value, predecessors,
+    settled_round)`` for every vertex v of its labels.
 
-    ``memo`` belongs to one call. Rows are keyed by vertex and row identity:
-    snapshots share their rows with the live state, and the trace keeps every
-    row alive for the whole call, so an identity names one content. Equal
-    contents held in distinct rows only cost an extra format.
+    Yields one running list, re-formatting only the rows each round changed,
+    so a caller must use it before asking for the next round.
     """
-    rows = labels.rows()
-    keys = list(zip(labels.vertices(), map(id, rows)))
-    out = list(map(memo.get, keys))
-    for i in [i for i, text in enumerate(out) if text is None]:
-        out[i] = memo[keys[i]] = fmt(i + 1, *rows[i])
-    return out
+    initial = LabelState.initial(trace.final_labels.n, trace.source).rows()
+    formatted = [fmt(v, *row) for v, row in enumerate(initial, start=1)]
+    for record in trace.rounds:
+        for v, row in record.changes:
+            formatted[v - 1] = fmt(v, *row)
+        yield formatted
 
 
 def _status_name(settled: int | None) -> str:
@@ -83,17 +81,15 @@ def _text_row(source: int, v: int, value: Weight, preds, settled) -> str:
 
 def render_trace_text(trace: RunTrace) -> str:
     """One block per round, mimicking iteration tables of labeling tools."""
-    memo: dict = {}
-    text_row = partial(_text_row, trace.source)
     blocks = []
-    for record in trace.rounds:
+    for record, rows in zip(trace.rounds, _formatted_rounds(trace, partial(_text_row, trace.source))):
         lines = [
             f"Round {record.round_index}"
             f"  frontier={_vertex_set(record.frontier)}"
             f"  newly permanent={_vertex_set(record.newly_permanent)}",
             "node | label | status",
         ]
-        lines += _formatted_rows(record.label_snapshot, memo, text_row)
+        lines += rows
         blocks.append("\n".join(lines))
     summary = (
         f"rounds: {trace.rounds_count}"
@@ -138,19 +134,19 @@ def trace_to_json(trace: RunTrace) -> str:
     is ``{"vertex", "value", "predecessors", "status", "settled_round"}``
     with the value as ``str(Weight)`` and the predecessors sorted.
     """
-    round_memo: dict = {}
-    round_row = partial(_json_row, 4)
     rounds = [
         "    {\n"
         f'      "round_index": {json.dumps(record.round_index)},\n'
         f'      "frontier": {_json_ints(record.frontier, 3)},\n'
         f'      "newly_permanent": {_json_ints(record.newly_permanent, 3)},\n'
         '      "labels": '
-        + _json_array(_formatted_rows(record.label_snapshot, round_memo, round_row), 3)
+        + _json_array(rows, 3)
         + "\n    }"
-        for record in trace.rounds
+        for record, rows in zip(trace.rounds, _formatted_rounds(trace, partial(_json_row, 4)))
     ]
-    final_labels = _formatted_rows(trace.final_labels, {}, partial(_json_row, 2))
+    final_labels = [
+        _json_row(2, v, *row) for v, row in enumerate(trace.final_labels.rows(), start=1)
+    ]
     final_distances = [f"    {json.dumps(str(w))}" for w in trace.final_distances]
     return (
         "{\n"
@@ -169,7 +165,6 @@ def trace_to_json(trace: RunTrace) -> str:
 
 
 _ROW_FIELDS = itemgetter("vertex", "value", "predecessors", "status", "settled_round")
-_SETTLED = itemgetter(2)
 
 # Whether a status names a permanent label; any other status is unknown.
 _STATUS_IS_PERMANENT = {"temporary": False, "permanent": True}
@@ -199,14 +194,18 @@ def _row(weight: Callable, vertex_set: Callable, value, preds: tuple, settled):
 class _TraceLoader:
     """Builds one RunTrace from decoded JSON. Each distinct row, weight
     string and vertex list is built once per load, and equal ones share one
-    object, as unchanged rows do in a trace the engine recorded."""
+    object. Rounds are loaded in order, each as its changes from the one
+    before, as the engine records them."""
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, source: int):
         self.n = n
         self.weight = cache(Weight.from_str)
         self.vertex_set = cache(partial(_vertices, n))
         self.row = cache(partial(_row, self.weight, self.vertex_set))
         self.vertex_ids = tuple(range(1, n + 1))
+        self.initial = LabelState.initial(n, source)
+        self.last_rows = self.initial.rows()
+        self.last_record: RoundRecord | None = None
 
     def vertices(self, items: list) -> frozenset[int]:
         # Types are checked before the cache is asked: (True,) and (1.0,)
@@ -215,7 +214,7 @@ class _TraceLoader:
             raise TypeError("vertices must be integers")
         return self.vertex_set(tuple(items))
 
-    def labels(self, items: list) -> LabelState:
+    def rows(self, items: list) -> list:
         if len(_typed(items, list)) != self.n:
             raise ValueError(f"a label list has {len(items)} rows, expected {self.n}")
         vertex, value, preds, status, settled = zip(*map(_ROW_FIELDS, items))
@@ -230,15 +229,23 @@ class _TraceLoader:
         permanent = list(map(is_not, settled, repeat(None)))
         if list(map(_STATUS_IS_PERMANENT.get, status)) != permanent:
             raise ValueError("a status is unknown or disagrees with its settled_round")
-        return LabelState(list(map(self.row, value, map(tuple, preds), settled)))
+        return list(map(self.row, value, map(tuple, preds), settled))
 
     def round(self, item: dict) -> RoundRecord:
-        return RoundRecord(
-            round_index=_typed(item["round_index"], int),
-            frontier=self.vertices(item["frontier"]),
-            label_snapshot=self.labels(item["labels"]),
-            newly_permanent=self.vertices(item["newly_permanent"]),
+        round_index = _typed(item["round_index"], int)
+        frontier = self.vertices(item["frontier"])
+        rows = self.rows(item["labels"])
+        changed = compress(self.vertex_ids, map(ne, rows, self.last_rows))
+        record = RoundRecord(
+            round_index,
+            frontier,
+            tuple([(v, rows[v - 1]) for v in changed]),
+            self.vertices(item["newly_permanent"]),
+            self.initial,
+            self.last_record,
         )
+        self.last_rows, self.last_record = rows, record
+        return record
 
 
 def trace_from_json(text: str) -> RunTrace:
@@ -249,8 +256,9 @@ def trace_from_json(text: str) -> RunTrace:
     vertex, or label lists whose lengths differ, or when a field it derives
     disagrees with the document: the algorithm, either round count, the
     final distances, a status given its settled_round, a round record or
-    its snapshot's settled rounds given the final ones, or the final labels
-    given the last snapshot.
+    the labels it changes given the final settled rounds, or the final
+    labels given the last round's. A round may not change a permanent label
+    or raise a value.
     """
     try:
         data = json.loads(text)
@@ -258,17 +266,19 @@ def trace_from_json(text: str) -> RunTrace:
         n = len(_typed(final_items, list))
         if n < 1:
             raise ValueError("final_labels is empty")
-        load = _TraceLoader(n)
         target = data["target"]
         final_distances = _typed(data["final_distances"], list)
         if len(final_distances) != n:
             raise ValueError(f"final_distances has {len(final_distances)} entries, expected {n}")
+        strategy = Strategy(data["strategy"])
+        source = _vertex(n, data["source"])
+        load = _TraceLoader(n, source)
         trace = RunTrace(
-            strategy=Strategy(data["strategy"]),
-            source=_vertex(n, data["source"]),
+            strategy=strategy,
+            source=source,
             target=None if target is None else _vertex(n, target),
             rounds=tuple(map(load.round, _typed(data["rounds"], list))),
-            final_labels=load.labels(final_items),
+            final_labels=LabelState(load.rows(final_items)),
             terminated_early=_typed(data["terminated_early"], bool),
         )
         if data["algorithm"] != trace.algorithm:
@@ -289,10 +299,11 @@ def trace_from_json(text: str) -> RunTrace:
 
 def _check_rounds(trace: RunTrace) -> None:
     """Raise ValueError unless round 0 settles the source alone; round k has
-    index k, relaxes from round k - 1's batch, settles the vertices whose
-    final settled_round is k and, in its snapshot, those up to k; and the
-    final labels are the last snapshot (the initial labels with no rounds).
-    O(n) per round, in C-speed list copies and comparisons."""
+    index k, relaxes from round k - 1's batch and settles, among the labels
+    it changes, exactly the vertices whose final settled_round is k; no
+    round changes a permanent label or raises a value; and the final labels
+    are the initial ones with every round's changes applied. O(n + rounds +
+    changes)."""
     final = trace.final_labels
     batches: list[list[int]] = [[] for _ in range(len(trace.rounds) + 1)]
     for v, (_, _, r) in enumerate(final.rows(), start=1):
@@ -303,17 +314,21 @@ def _check_rounds(trace: RunTrace) -> None:
     if batches[0] != [trace.source]:
         raise ValueError("only the source settles in round 0")
     sets = list(map(frozenset, batches))
-    last = LabelState.initial(final.n, trace.source)
-    settled = list(map(_SETTLED, last.rows()))
+    rows = list(LabelState.initial(final.n, trace.source).rows())
     for k, record in enumerate(trace.rounds, start=1):
         if (record.round_index, record.frontier, record.newly_permanent) != (k, sets[k - 1], sets[k]):
             raise ValueError("a round record disagrees with its position or the final settled rounds")
-        for v in batches[k]:
-            settled[v - 1] = k
-        last = record.label_snapshot
-        if list(map(_SETTLED, last.rows())) != settled:
+        for v, row in record.changes:
+            old = rows[v - 1]
+            if old[2] is not None:
+                raise ValueError(f"round {k} changes vertex {v}'s permanent label")
+            if old[0] < row[0]:
+                raise ValueError(f"round {k} raises vertex {v}'s value")
+            rows[v - 1] = row
+        settled = [(v, row[2]) for v, row in record.changes if row[2] is not None]
+        if settled != [(v, k) for v in batches[k]]:
             raise ValueError(f"round {k}'s settled rounds disagree with the final ones")
-    if final != last:
+    if final != LabelState(rows):
         raise ValueError("final_labels are not the labels of the last round")
 
 

@@ -84,6 +84,13 @@ class TestGenerateGraph:
         g = generate_graph(spec(tie_bias=1.0), 3)
         assert all(w == Weight.finite(1) for _, _, w in g.edges())
 
+    def test_equal_weights_are_one_object(self):
+        # as in a parsed graph, so each distinct weight is scaled once
+        g = generate_graph(spec(), 0)
+        first: dict[Weight, Weight] = {}
+        assert all(first.setdefault(w, w) is w for _, _, w in g.edges())
+        assert len(first) < sum(1 for _ in g.edges())
+
     def test_deterministic(self):
         assert generate_graph(spec(), 5) == generate_graph(spec(), 5)
 

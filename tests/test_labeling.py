@@ -314,18 +314,19 @@ class TestSnapshotBudget:
 
 
 class TestRowSharing:
-    def test_classic_snapshots_cost_one_reference_per_cell(self):
-        # a snapshot is one list of references to shared rows, so n = 1000
-        # takes about 1000 rounds of 8 KB each
-        g = parse_edge_list(sparse_edge_list(1000, 5, seed=3))
+    @pytest.mark.parametrize("n, mib", [(1000, 2), (4000, 8)])
+    def test_classic_trace_memory_grows_with_the_changes(self, n, mib):
+        # a round records only the rows it changed; full snapshots of about
+        # n rounds of n references would take 8 MB at n = 1000, 128 MB at 4000
+        g = parse_edge_list(sparse_edge_list(n, 5, seed=3))
         tracemalloc.start()
         try:
             trace = run_classic(g, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert trace.rounds_count > 900
-        assert peak < 12 * 2**20
+        assert trace.rounds_count > 0.9 * n
+        assert peak < mib * 2**20
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_equal_values_in_a_run_are_one_weight(self, strategy):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from pathlab import (
     select_permanent,
 )
 from pathlab.bench import run_strategy
+from pathlab.render import trace_from_json, trace_to_json
 
 from .strategies import exact_weights, graphs
 
@@ -186,6 +188,36 @@ def test_runs_equal_a_round_api_replay(g, data):
     assert trace.final_labels == labels
     assert trace.final_distances == labels.distances()
     assert trace.terminated_early == terminated_early
+
+
+def _changed_rows(before, after) -> list:
+    """``(vertex, row)`` for every vertex whose row differs, by ascending vertex."""
+    return [
+        (v, new)
+        for v, (old, new) in enumerate(zip(before.rows(), after.rows()), start=1)
+        if old != new
+    ]
+
+
+@pytest.mark.parametrize("stop_at_target", [False, True])
+@pytest.mark.parametrize("strategy", list(Strategy))
+@given(graphs(max_n=8) | graphs(max_n=8, weights=exact_weights), st.data())
+@settings(max_examples=40)
+def test_changes_are_the_rows_that_differ_from_the_round_before(strategy, stop_at_target, g, data):
+    source = data.draw(st.integers(1, g.n))
+    target = data.draw(st.none() | st.integers(1, g.n))
+    trace = run_strategy(g, source, strategy, target, stop_at_target)
+    rounds, _, _ = replay_rounds(g, source, target, stop_at_target, strategy)
+    for recorded in (trace, trace_from_json(trace_to_json(trace))):
+        before = init_labels(g, source)
+        latest = {}
+        for record, (_, after, _) in zip(recorded.rounds, rounds, strict=True):
+            assert list(record.changes) == _changed_rows(before, after)
+            latest.update(record.changes)
+            before = after
+        # each change carries the row object that later rounds keep
+        final = recorded.final_labels.rows()
+        assert all(final[v - 1] is row for v, row in latest.items())
 
 
 def test_runs_are_exact_across_denominators():

@@ -349,6 +349,12 @@ MALFORMED_DOCUMENTS = {
         ),
         "final_distances": doc["final_distances"][:-1] + ["9"],
     },
+    # rounds that change a settled label, or raise a value, in round 3 alone:
+    # the source's value to 5, vertex 2's predecessors (settled in round 1)
+    # to {3}, and vertex 4's value from 6 to 999 while temporary
+    "permanent_label_changes": lambda doc: _with_round_row(doc, 2, 1, value="5"),
+    "permanent_predecessors_change": lambda doc: _with_round_row(doc, 2, 2, predecessors=[3]),
+    "value_rises": lambda doc: _with_round_row(doc, 2, 4, value="999"),
     # vertex lists whose items equal an int but are not one: true and 1.0
     # equal 1, and a list equal to one loaded earlier must not pass unchecked
     "true_predecessor": lambda doc: _with_vertex_rows(doc, 2, predecessors=[True]),
@@ -407,6 +413,19 @@ def test_malformed_trace_document_is_malformed_input(paper8, name):
 def test_contradictory_round_of_a_classic_trace_is_malformed_input(paper8, name):
     doc = json.loads(trace_to_json(run_classic(paper8, 1)))
     with pytest.raises(MalformedInput, match="round"):
+        trace_from_json(json.dumps(MALFORMED_DOCUMENTS[name](doc)))
+
+
+@pytest.mark.parametrize("name, message", [
+    ("permanent_label_changes", "round 3 changes vertex 1's permanent label"),
+    ("permanent_predecessors_change", "round 3 changes vertex 2's permanent label"),
+    ("value_rises", "round 3 raises vertex 4's value"),
+])
+def test_a_round_that_changes_a_settled_label_or_raises_a_value_is_malformed_input(
+    paper8, name, message
+):
+    doc = json.loads(trace_to_json(run_classic(paper8, 1)))
+    with pytest.raises(MalformedInput, match=message):
         trace_from_json(json.dumps(MALFORMED_DOCUMENTS[name](doc)))
 
 

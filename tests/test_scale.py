@@ -1,8 +1,9 @@
 """Edge-list graphs far above the dense cap ``MAX_VERTICES``: they must parse
-and run in memory that grows with n + m, never with n².
+and run in memory that grows with n + m, never with n², and give the
+distances that networkx and scipy give.
 
-The ``scale`` test is left out of the default run (see ``pyproject.toml``);
-run it with ``python -m pytest -m scale``.
+The ``scale`` tests are left out of the default run (see ``pyproject.toml``);
+run them with ``python -m pytest -m scale``.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from pathlab import Strategy, bellman_ford, parse_edge_list, run_modified
+from pathlab import Graph, Strategy, bellman_ford, parse_edge_list, run_classic, run_modified
 from pathlab.graph import MAX_VERTICES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -106,3 +108,44 @@ def test_hundred_thousand_vertices_oracle_and_tiebatch_trace(tmp_path):
         f"\nn={n} m={5 * n}: oracle {oracle_s:.1f} s, trace --algo tiebatch {trace_s:.1f} s"
         f" ({trace_bytes / MiB:.0f} MiB of text), peak RSS of either {peak_mib:.0f} MiB"
     )
+
+
+# Differential checks against libraries that share no code with pathlab. Both
+# are optional: the checks skip where they are not installed.
+
+
+def test_two_thousand_vertices_match_networkx_with_fraction_weights():
+    nx = pytest.importorskip("networkx")
+    n, rng = 2000, random.Random(2000)
+    edges = [
+        (u, t if t < u else t + 1, Fraction(rng.randint(1, 30), rng.choice([1, 3, 7, 10])))
+        for u in range(1, n + 1)
+        for t in rng.sample(range(1, n), 5)
+    ]
+    reference = nx.DiGraph()
+    reference.add_nodes_from(range(1, n + 1))
+    reference.add_weighted_edges_from(edges)
+    expected = nx.single_source_dijkstra_path_length(reference, 1)
+    assert len(expected) > 0.9 * n
+    g = Graph.from_edges(n, edges)
+    for trace in (run_classic(g, 1), run_modified(g, 1, strategy=Strategy.TIE_BATCH)):
+        got = {v: w.fraction for v, w in enumerate(trace.final_distances, start=1) if w.is_finite}
+        assert got == expected
+
+
+@pytest.mark.scale
+def test_hundred_thousand_vertices_match_scipy_dijkstra():
+    # integer weights, so scipy's float64 sums are exact (they stay far below 2**53)
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    sparse = pytest.importorskip("scipy.sparse")
+    n = 100_000
+    g = parse_edge_list(sparse_edge_list(n, 5, seed=100_001))
+    tails, heads, weights = zip(*((u - 1, v - 1, int(w.fraction)) for u, v, w in g.edges()))
+    matrix = sparse.csr_matrix((weights, (tails, heads)), shape=(n, n))
+    expected = [None if d == float("inf") else int(d) for d in csgraph.dijkstra(matrix, indices=0)]
+    assert sum(d is not None for d in expected) > 0.9 * n
+    for distances in (
+        run_modified(g, 1, strategy=Strategy.TIE_BATCH).final_distances,
+        bellman_ford(g, 1).distances,
+    ):
+        assert [w.fraction if w.is_finite else None for w in distances] == expected
