@@ -91,14 +91,15 @@ def trace(graph_file, source, target, algo, stop_at_target, format_):
     try:
         g = _load_graph(graph_file)
         result = bench_mod.run_strategy(g, source, STRATEGIES[algo], target, stop_at_target)
+        if format_ == "text":
+            output = render.render_trace_text(result)
+        else:
+            output = render.trace_to_json(result)
     except PathlabError as exc:
         _fail(str(exc))
     if algo == "stablebatch":
         _stable_batch_check(g, result)
-    if format_ == "text":
-        click.echo(render.render_trace_text(result), nl=False)
-    else:
-        click.echo(render.trace_to_json(result), nl=False)
+    click.echo(output, nl=False)
 
 
 @main.command(name="path")

@@ -35,8 +35,7 @@ before. A run costs O(n + m log m) for relaxation and selection, and its
 trace holds O(n + changes) rows: the initial labels, shared by every round,
 and one pair per change. A round's ``label_snapshot`` is not stored; it is
 replayed on access from the initial labels through the changes so far, in
-O(n + changes). A run still raises GraphTooLarge rather than let n · rounds,
-the label cells its rendered trace writes, pass ``MAX_SNAPSHOT_CELLS``.
+O(n + changes).
 
 :func:`relax_step` and :func:`select_permanent` perform one relax and one
 select move over a whole ``LabelState``; they are the straightforward
@@ -52,15 +51,8 @@ from heapq import heappop, heappush
 from operator import itemgetter
 
 from .errors import FrontierNotPermanent, VertexOutOfRange
-from .graph import MAX_VERTICES, Graph, check_size, check_vertex
+from .graph import Graph, check_vertex
 from .weights import INFINITY, Weight
-
-# Most label cells (n per round) a run's trace may hold once rendered: the
-# text and structured formats write every label every round, so this bounds
-# their output, not the recording, which grows with the changes. Every run on
-# a graph within the dense cap fits, and a larger edge list gets GraphTooLarge
-# once its rendered trace would outgrow it.
-MAX_SNAPSHOT_CELLS = MAX_VERTICES**2
 
 # A label cell: value, predecessors, settling round (None while temporary).
 _Row = tuple[Weight, frozenset[int], int | None]
@@ -130,25 +122,6 @@ class LabelState:
 
     def copy(self) -> "LabelState":
         return LabelState(list(self._rows))
-
-    def improve(self, v: int, value: Weight, preds: frozenset[int]) -> None:
-        """Strict improvement: new value, predecessor set replaced."""
-        if self.is_permanent(v):
-            raise ValueError(f"vertex {v} is already permanent")
-        self._rows[v - 1] = (value, preds, None)
-
-    def add_predecessors(self, v: int, preds: frozenset[int]) -> None:
-        """Equal-value alternatives: extend the predecessor set only."""
-        value, old, settled = self._rows[v - 1]
-        if settled is not None:
-            raise ValueError(f"vertex {v} is already permanent")
-        self._rows[v - 1] = (value, old | preds, None)
-
-    def settle(self, v: int, round_index: int) -> None:
-        value, preds, settled = self._rows[v - 1]
-        if settled is not None:
-            raise ValueError(f"vertex {v} is already permanent")
-        self._rows[v - 1] = (value, preds, round_index)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabelState):
@@ -281,11 +254,12 @@ def relax_step(
             raise VertexOutOfRange(f"frontier vertex {i} outside 1..{g.n}")
         if not labels.is_permanent(i):
             raise FrontierNotPermanent(f"frontier vertex {i} is not permanent")
-    new = labels.copy()
+    rows = list(labels.rows())
     changed: set[int] = set()
     frontier_sorted = sorted(frontier)
     for j in g.vertices():
-        if new.is_permanent(j):
+        value, preds, settled = rows[j - 1]
+        if settled is not None:
             continue
         best: Weight | None = None
         minimizers: set[int] = set()
@@ -301,13 +275,12 @@ def relax_step(
                 minimizers.add(i)
         if best is None:
             continue
-        old = new.value(j)
-        if best < old:
-            new.improve(j, best, frozenset(minimizers))
+        if best < value:
+            rows[j - 1] = (best, frozenset(minimizers), None)
             changed.add(j)
-        elif best == old:
-            new.add_predecessors(j, frozenset(minimizers))
-    return new, frozenset(changed)
+        elif best == value:
+            rows[j - 1] = (value, preds | minimizers, None)
+    return LabelState(rows), frozenset(changed)
 
 
 def select_permanent(
@@ -339,8 +312,9 @@ def select_permanent(
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown strategy {strategy!r}")
     round_index = max((r for _, _, r in rows if r is not None), default=-1) + 1
-    for v in sorted(chosen):
-        labels.settle(v, round_index)
+    for v in chosen:
+        value, preds, _ = rows[v - 1]
+        labels._rows[v - 1] = (value, preds, round_index)
     return frozenset(chosen)
 
 
@@ -377,8 +351,6 @@ def _run(
     check_vertex(g, source)
     if target is not None:
         check_vertex(g, target)
-    # The engine writes its own row list directly; the round API functions
-    # above do the same moves one LabelState method at a time.
     initial = LabelState.initial(g.n, source)
     rows = list(initial.rows())
     scale, adjacency = g.scaled_adjacency
@@ -430,7 +402,6 @@ def _run(
         if strategy is Strategy.STABLE_BATCH:
             newly |= finite_temporary - changed
         round_index = len(rounds) + 1
-        check_size(round_index * g.n, MAX_SNAPSHOT_CELLS, "snapshot label cells")
         for v in newly:
             value, preds, _ = rows[v - 1]
             rows[v - 1] = (value, preds, round_index)

@@ -33,11 +33,16 @@ from typing import Callable, Iterator
 
 from .bench import ComparisonRecord
 from .errors import MalformedInput
-from .graph import check_size
+from .graph import MAX_VERTICES, check_size
 from .labeling import LabelState, RoundRecord, RunTrace, Strategy
 from .oracle import OracleResult
 from .tree import TreeMatrix
 from .weights import Weight
+
+# Most label cells (n per round) a rendered trace may hold: the text and
+# structured formats write every label every round, while the run itself
+# records only its changes. Every run on a graph within the dense cap fits.
+MAX_SNAPSHOT_CELLS = MAX_VERTICES**2
 
 
 def fixed_decimal(value: Fraction, places: int) -> str:
@@ -54,9 +59,15 @@ def _formatted_rounds(trace: RunTrace, fmt: Callable[..., str]) -> Iterator[list
     settled_round)`` for every vertex v of its labels.
 
     Yields one running list, re-formatting only the rows each round changed,
-    so a caller must use it before asking for the next round.
+    so a caller must use it before asking for the next round. Raises
+    GraphTooLarge, before formatting anything, when n times the rounds
+    passes ``MAX_SNAPSHOT_CELLS``; the count reported runs up to the first
+    round past the limit.
     """
-    initial = LabelState.initial(trace.final_labels.n, trace.source).rows()
+    n = trace.final_labels.n
+    cells = min(len(trace.rounds), MAX_SNAPSHOT_CELLS // n + 1) * n
+    check_size(cells, MAX_SNAPSHOT_CELLS, "snapshot label cells")
+    initial = LabelState.initial(n, trace.source).rows()
     formatted = [fmt(v, *row) for v, row in enumerate(initial, start=1)]
     for record in trace.rounds:
         for v, row in record.changes:
@@ -80,7 +91,11 @@ def _text_row(source: int, v: int, value: Weight, preds, settled) -> str:
 
 
 def render_trace_text(trace: RunTrace) -> str:
-    """One block per round, mimicking iteration tables of labeling tools."""
+    """One block per round, mimicking iteration tables of labeling tools.
+
+    Raises GraphTooLarge when n times the rounds passes
+    ``MAX_SNAPSHOT_CELLS``.
+    """
     blocks = []
     for record, rows in zip(trace.rounds, _formatted_rounds(trace, partial(_text_row, trace.source))):
         lines = [
@@ -132,7 +147,8 @@ def trace_to_json(trace: RunTrace) -> str:
 
     The document has the keys written below, in that order; each label row
     is ``{"vertex", "value", "predecessors", "status", "settled_round"}``
-    with the value as ``str(Weight)`` and the predecessors sorted.
+    with the value as ``str(Weight)`` and the predecessors sorted. Raises
+    GraphTooLarge when n times the rounds passes ``MAX_SNAPSHOT_CELLS``.
     """
     rounds = [
         "    {\n"

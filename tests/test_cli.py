@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathlab import bench, labeling
+from pathlab import bench, render
 from pathlab.cli import main
 from pathlab.graph import MAX_EDGES, MAX_SPARSE_VERTICES, MAX_VERTICES
 
@@ -280,13 +280,35 @@ class TestOracle:
     def test_trace_that_would_outgrow_the_snapshot_budget_is_input_error(
         self, runner, tmp_path, monkeypatch
     ):
-        monkeypatch.setattr(labeling, "MAX_SNAPSHOT_CELLS", 20)
+        monkeypatch.setattr(render, "MAX_SNAPSHOT_CELLS", 20)
         graph = tmp_path / "chain.edges"
         graph.write_text("6 5\n1 2 1\n2 3 1\n3 4 1\n4 5 1\n5 6 1\n")
-        result = runner.invoke(main, ["trace", str(graph), "--source", "1", "--algo", "tiebatch"])
-        assert result.exit_code == 1
-        assert result.stdout == ""
-        assert result.stderr == "error: 24 snapshot label cells exceed the limit of 20\n"
+        for algo in ("classic", "tiebatch", "stablebatch"):
+            for format_ in ("text", "structured"):
+                result = runner.invoke(
+                    main,
+                    ["trace", str(graph), "--source", "1", "--algo", algo, "--format", format_],
+                )
+                assert result.exit_code == 1
+                assert result.stdout == ""
+                assert result.stderr == "error: 24 snapshot label cells exceed the limit of 20\n"
+
+    def test_snapshot_budget_does_not_bound_compare(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(render, "MAX_SNAPSHOT_CELLS", 20)
+        graph = tmp_path / "chain.edges"
+        graph.write_text("6 5\n1 2 1\n2 3 1\n3 4 1\n4 5 1\n5 6 1\n")
+        result = runner.invoke(main, ["compare", str(graph), "--source", "1"])
+        assert result.exit_code == 0
+        assert result.stderr == ""
+        assert result.stdout == (
+            "source: 1\n"
+            "oracle (bellman-ford): 0 1 2 3 4 5\n"
+            "strategy    | rounds | rounds_incl_source | agrees_oracle\n"
+            "singlemin   |      5 |                  6 | true\n"
+            "tiebatch    |      5 |                  6 | true\n"
+            "stablebatch |      5 |                  6 | true\n"
+            "stable_batch_unsound: false\n"
+        )
 
     def test_edge_list_above_the_dense_cap_runs(self, runner, tmp_path):
         n = MAX_VERTICES + 1

@@ -23,7 +23,7 @@ from pathlab import (
     run_modified,
     select_permanent,
 )
-from pathlab import labeling
+from pathlab import render
 from pathlab.bench import run_strategy
 from pathlab.graph import MAX_VERTICES
 
@@ -108,10 +108,10 @@ class TestRelaxStep:
 
 def labels_with_temporaries(n: int, values: dict[int, int]) -> LabelState:
     """Source 1 permanent; the given vertices temporary at finite values."""
-    labels = LabelState.initial(n, 1)
+    rows = list(LabelState.initial(n, 1).rows())
     for v, value in values.items():
-        labels.improve(v, Weight.finite(value), frozenset({1}))
-    return labels
+        rows[v - 1] = (Weight.finite(value), frozenset({1}), None)
+    return LabelState(rows)
 
 
 class TestSelectPermanent:
@@ -302,15 +302,22 @@ class TestSnapshotBudget:
         return Graph.from_edges(n, [(v, v + 1, 1) for v in range(1, n)])
 
     def test_every_run_within_the_dense_cap_fits(self):
-        assert (MAX_VERTICES - 1) * MAX_VERTICES <= labeling.MAX_SNAPSHOT_CELLS
+        assert (MAX_VERTICES - 1) * MAX_VERTICES <= render.MAX_SNAPSHOT_CELLS
 
     @pytest.mark.parametrize("strategy", list(Strategy))
-    def test_a_trace_that_would_outgrow_it_raises(self, monkeypatch, strategy):
-        monkeypatch.setattr(labeling, "MAX_SNAPSHOT_CELLS", 20)
+    def test_outgrowing_trace_is_not_rendered(self, monkeypatch, strategy):
+        monkeypatch.setattr(render, "MAX_SNAPSHOT_CELLS", 20)
         # 4 rounds of 5 cells fit; the fourth round of 6 cells does not
-        assert run_strategy(self.chain(5), 1, strategy).rounds_count == 4
-        with pytest.raises(GraphTooLarge, match="24 snapshot label cells exceed the limit of 20"):
-            run_strategy(self.chain(6), 1, strategy)
+        fits = run_strategy(self.chain(5), 1, strategy)
+        assert fits.rounds_count == 4
+        render.render_trace_text(fits)
+        render.trace_to_json(fits)
+        outgrows = run_strategy(self.chain(6), 1, strategy)
+        assert outgrows.rounds_count == 5
+        for renderer in (render.render_trace_text, render.trace_to_json):
+            with pytest.raises(GraphTooLarge) as raised:
+                renderer(outgrows)
+            assert str(raised.value) == "24 snapshot label cells exceed the limit of 20"
 
 
 class TestRowSharing:

@@ -220,6 +220,18 @@ def test_changes_are_the_rows_that_differ_from_the_round_before(strategy, stop_a
         assert all(final[v - 1] is row for v, row in latest.items())
 
 
+@pytest.mark.parametrize("strategy", list(Strategy))
+@given(graphs(max_n=8) | graphs(max_n=8, weights=exact_weights), st.data())
+def test_a_run_records_at_most_one_change_per_settle_and_per_edge(strategy, g, data):
+    # Each vertex settles once and each edge is relaxed once, in the round
+    # after its tail settles, so a trace is bounded by the input, not by
+    # n times the rounds.
+    source = data.draw(st.integers(1, g.n))
+    trace = run_strategy(g, source, strategy)
+    changes = sum(len(record.changes) for record in trace.rounds)
+    assert changes <= (g.n - 1) + len(list(g.edges()))
+
+
 def test_runs_are_exact_across_denominators():
     # The engine scales by lcm(10**29, 3, 7). Vertices 3, 5 and 6 are each
     # reached by paths whose totals are equal only when summed exactly.
