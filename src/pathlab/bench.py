@@ -218,7 +218,6 @@ def run_suite(
     specs: list[GraphSpec] | tuple[GraphSpec, ...],
     graphs_per_spec: int,
     source: int = 1,
-    target: int | None = None,
 ) -> RunReport:
     """Generate, compare, and aggregate; deterministic given specs and seeds."""
     if graphs_per_spec < 0:
@@ -227,14 +226,14 @@ def run_suite(
     for spec_index, spec in enumerate(specs):
         for graph_index in range(graphs_per_spec):
             g = generate_graph(spec, graph_index)
-            records.append(compare(g, source, target, spec_index, graph_index))
+            records.append(compare(g, source, spec_index=spec_index, graph_index=graph_index))
     records = tuple(records)
     aggregates, unsound = compute_aggregates(records)
     return RunReport(
         specs=tuple(specs),
         graphs_per_spec=graphs_per_spec,
         source=source,
-        target=target,
+        target=None,
         records=records,
         aggregates=aggregates,
         stable_batch_unsound_count=unsound,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
-from typing import NoReturn
 
 import click
 
@@ -39,10 +38,10 @@ def _load_graph(path_str: str) -> Graph:
     path = Path(path_str)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise PathlabError(f"cannot read {path_str}: {exc.strerror or exc}") from None
-    except UnicodeDecodeError as exc:
-        raise PathlabError(f"cannot read {path_str}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        # an OSError's strerror omits the errno and path; a decode error has none
+        reason = getattr(exc, "strerror", None) or exc
+        raise PathlabError(f"cannot read {path_str}: {reason}") from None
     if path.suffix == ".edges":
         return parse_edge_list(text)
     return parse_matrix_text(text)
@@ -61,12 +60,19 @@ def _stable_batch_check(g, trace) -> None:
         )
 
 
-def _fail(message: str) -> NoReturn:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(1)
+class _Main(click.Group):
+    """The command group; any PathlabError a command raises is reported as
+    ``error: <message>`` on stderr with exit code 1."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except PathlabError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
 
 
-@click.group()
+@click.group(cls=_Main)
 def main() -> None:
     """Label-setting shortest-path laboratory."""
 
@@ -88,15 +94,12 @@ def trace(graph_file, source, target, algo, stop_at_target, format_):
     """Run one algorithm and print its per-round trace."""
     if stop_at_target and target is None:
         raise click.UsageError("--stop-at-target requires --target")
-    try:
-        g = _load_graph(graph_file)
-        result = bench_mod.run_strategy(g, source, STRATEGIES[algo], target, stop_at_target)
-        if format_ == "text":
-            output = render.render_trace_text(result)
-        else:
-            output = render.trace_to_json(result)
-    except PathlabError as exc:
-        _fail(str(exc))
+    g = _load_graph(graph_file)
+    result = bench_mod.run_strategy(g, source, STRATEGIES[algo], target, stop_at_target)
+    if format_ == "text":
+        output = render.render_trace_text(result)
+    else:
+        output = render.trace_to_json(result)
     if algo == "stablebatch":
         _stable_batch_check(g, result)
     click.echo(output, nl=False)
@@ -109,14 +112,11 @@ def trace(graph_file, source, target, algo, stop_at_target, format_):
 @click.option("--algo", default="classic", show_default=True, type=ALGO_CHOICES)
 def path_cmd(graph_file, source, target, algo):
     """Print the route to the target and the shortest-path-tree matrix."""
-    try:
-        g = _load_graph(graph_file)
-        check_size(g.n)  # before the run: the tree matrix printed is n by n
-        result = bench_mod.run_strategy(g, source, STRATEGIES[algo], target)
-        tree = build_tree_matrix(g, result)
-        route = extract_path(tree, target)
-    except PathlabError as exc:
-        _fail(str(exc))
+    g = _load_graph(graph_file)
+    check_size(g.n)  # before the run: the tree matrix printed is n by n
+    result = bench_mod.run_strategy(g, source, STRATEGIES[algo], target)
+    tree = build_tree_matrix(g, result)
+    route = extract_path(tree, target)
     if algo == "stablebatch":
         _stable_batch_check(g, result)
     click.echo(f"route: {route}")
@@ -130,11 +130,8 @@ def path_cmd(graph_file, source, target, algo):
 @click.option("--target", type=int)
 def compare(graph_file, source, target):
     """Compare all strategies against the oracle on one graph."""
-    try:
-        g = _load_graph(graph_file)
-        record = bench_mod.compare(g, source, target)
-    except PathlabError as exc:
-        _fail(str(exc))
+    g = _load_graph(graph_file)
+    record = bench_mod.compare(g, source, target)
     click.echo(render.render_comparison_text(record), nl=False)
 
 
@@ -173,10 +170,7 @@ def bench(nodes, density, graphs, seed, tie_bias, weights, source, out):
         raise click.UsageError(str(exc))
     if not 1 <= source <= nodes:
         raise click.UsageError(f"--source must be in 1..{nodes}")
-    try:
-        report = bench_mod.run_suite([spec], graphs, source=source)
-    except PathlabError as exc:
-        _fail(str(exc))
+    report = bench_mod.run_suite([spec], graphs, source=source)
     if out.endswith(".json"):
         payload = bench_mod.report_to_json(report)
     else:
@@ -184,7 +178,7 @@ def bench(nodes, density, graphs, seed, tie_bias, weights, source, out):
     try:
         Path(out).write_text(payload, encoding="utf-8")
     except OSError as exc:
-        _fail(f"cannot write {out}: {exc.strerror or exc}")
+        raise PathlabError(f"cannot write {out}: {exc.strerror or exc}") from None
     click.echo(f"wrote {out} ({len(report.records)} records)")
     for strategy, agg in report.aggregates.items():
         click.echo(
@@ -204,11 +198,8 @@ def bench(nodes, density, graphs, seed, tie_bias, weights, source, out):
 @click.option("--source", required=True, type=int)
 def oracle(graph_file, source):
     """Print oracle (Bellman-Ford) distances from the source."""
-    try:
-        g = _load_graph(graph_file)
-        result = bellman_ford(g, source)
-    except PathlabError as exc:
-        _fail(str(exc))
+    g = _load_graph(graph_file)
+    result = bellman_ford(g, source)
     click.echo(render.render_oracle_text(result), nl=False)
 
 

@@ -11,14 +11,14 @@ matrix file O(n²) only because it has n² tokens. :attr:`Graph.scaled_adjacency
 is the same out-edges with each weight an exact integer, scaled by the lcm of
 the weight denominators, built once per graph for the labeling engine.
 
-Each input form has one checking path. ``Graph(n, adjacency)`` and
-:meth:`Graph.from_matrix` are trusted constructors for code that already holds
-the invariants (the random generator, the parsers): they check the shape, not
-the weights. :meth:`Graph.from_edges` checks every edge and is the path of
-edge lists, parsed or programmatic. :func:`parse_matrix_text` checks the
-matrix file it reads. Before allocating, matrix files and the matrix view
-refuse n above ``MAX_VERTICES``, and edge lists refuse more than
-``MAX_SPARSE_VERTICES`` vertices or ``MAX_EDGES`` edges.
+Each input form has one checking path. ``Graph(n, adjacency)`` is the
+trusted constructor for code that already holds the invariants (the random
+generator, the parsers): it checks the shape, not the weights.
+:meth:`Graph.from_edges` checks every edge and is the path of edge lists,
+parsed or programmatic. :func:`parse_matrix_text` checks the matrix file it
+reads. Before allocating, matrix files and the matrix view refuse n above
+``MAX_VERTICES``, and edge lists refuse more than ``MAX_SPARSE_VERTICES``
+vertices or ``MAX_EDGES`` edges.
 
 File formats
 ------------
@@ -81,28 +81,8 @@ class Graph:
         if len(self.adjacency) != self.n:
             raise ValueError(f"adjacency must list {self.n} vertices")
 
-    @classmethod
-    def from_matrix(cls, n: int, rows) -> "Graph":
-        """Trusted constructor from an n-by-n matrix: checks the shape only.
-
-        Entry (i, j) off the diagonal is an edge when finite; the diagonal is
-        ignored. For matrices built by code that already holds the invariants.
-        """
-        if len(rows) != n or any(len(row) != n for row in rows):
-            raise ValueError(f"weight matrix must be {n}x{n}")
-        return cls(
-            n,
-            tuple(
-                tuple((j, w) for j, w in enumerate(row, start=1) if j != i and w.is_finite)
-                for i, row in enumerate(rows, start=1)
-            ),
-        )
-
     def vertices(self) -> range:
         return range(1, self.n + 1)
-
-    def contains_vertex(self, v: int) -> bool:
-        return 1 <= v <= self.n
 
     @cached_property
     def _out(self) -> tuple[dict[int, Weight], ...]:
@@ -177,7 +157,7 @@ class Graph:
 
 
 def check_vertex(g: Graph, v: int) -> None:
-    if not g.contains_vertex(v):
+    if not 1 <= v <= g.n:
         raise VertexOutOfRange(f"vertex {v} outside 1..{g.n}")
 
 

@@ -156,23 +156,23 @@ class RoundRecord:
 
     @property
     def label_snapshot(self) -> LabelState:
-        """The labels after this round, read-only and rebuilt on access:
+        """The labels after this round, a fresh state on each access:
         ``n`` is O(1), and the first read of a row replays the changes of
         every round up to this one, O(n + changes)."""
         return _Snapshot(self)
 
 
 class _Snapshot(LabelState):
-    """A round's labels: a tuple of rows replayed on first read."""
+    """A round's labels: a list of rows replayed on first read."""
 
     __slots__ = ("_record", "_replayed")
 
     def __init__(self, record: RoundRecord):
         self._record = record
-        self._replayed: tuple[_Row, ...] | None = None
+        self._replayed: list[_Row] | None = None
 
     @property
-    def _rows(self) -> tuple[_Row, ...]:
+    def _rows(self) -> list[_Row]:
         if self._replayed is None:
             self._replayed = _replay(self._record)
         return self._replayed
@@ -182,7 +182,7 @@ class _Snapshot(LabelState):
         return self._record._initial.n
 
 
-def _replay(record: RoundRecord) -> tuple[_Row, ...]:
+def _replay(record: RoundRecord) -> list[_Row]:
     """The rows after ``record``'s round: the run's initial rows with the
     changes of every round up to it applied in order. Walks the records
     back iteratively, so a run of any length replays without recursion."""
@@ -194,7 +194,7 @@ def _replay(record: RoundRecord) -> tuple[_Row, ...]:
     for changes in reversed(history):
         for v, row in changes:
             rows[v - 1] = row
-    return tuple(rows)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -250,7 +250,7 @@ def relax_step(
     temporary vertex takes the minimum over the whole frontier at once.
     """
     for i in frontier:
-        if not g.contains_vertex(i):
+        if not 1 <= i <= g.n:
             raise VertexOutOfRange(f"frontier vertex {i} outside 1..{g.n}")
         if not labels.is_permanent(i):
             raise FrontierNotPermanent(f"frontier vertex {i} is not permanent")

@@ -4,8 +4,9 @@ Entry (i, j) of the tree matrix holds the edge weight when i is the chosen
 parent of j in the shortest-path tree, zero otherwise. Real edges are
 strictly positive, so zero unambiguously means "no link". Under equal-length
 alternatives the lowest predecessor id is chosen, deterministically.
-The tree stores one parent link per vertex, so :func:`extract_path` costs
-O(depth); only :func:`pathlab.render.render_tree_matrix` builds the matrix.
+The tree stores one parent link per vertex, read as ``TreeMatrix.parents[v -
+1]``, so :func:`extract_path` costs O(depth); only
+:func:`pathlab.render.render_tree_matrix` builds the matrix.
 """
 
 from __future__ import annotations
@@ -37,10 +38,6 @@ class TreeMatrix:
         if self.parents[v - 1] == u:
             return self.parent_weights[v - 1]
         return Weight.zero()
-
-    def parent(self, v: int) -> int | None:
-        """The unique i with a nonzero (i, v) entry, or None for no parent."""
-        return self.parents[v - 1]
 
     def nonzero(self) -> dict[tuple[int, int], Weight]:
         return dict(
@@ -93,7 +90,7 @@ def extract_path(t: TreeMatrix, target: int) -> Route:
     chain = [target]
     current = target
     while current != t.source:
-        parent = t.parent(current)
+        parent = t.parents[current - 1]
         if parent is None:
             return Route((), INFINITY)
         if len(chain) > t.n:

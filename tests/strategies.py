@@ -52,7 +52,8 @@ def matrices(draw, max_n: int = 6, weights=finite_weights) -> tuple[int, tuple]:
 
 @st.composite
 def graphs(draw, max_n: int = 6, weights=finite_weights) -> Graph:
-    return Graph.from_matrix(*draw(matrices(max_n, weights)))
+    n, rows = draw(matrices(max_n, weights))
+    return Graph(n, matrix_adjacency(rows))
 
 
 # The reference invariant checker: every cell, one at a time. The parsers

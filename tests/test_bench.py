@@ -28,7 +28,7 @@ from pathlab import (
 from pathlab.bench import CSV_HEADER, _derived_seed
 from pathlab.graph import MAX_EDGES, MAX_VERTICES
 
-from .strategies import validate
+from .strategies import matrix_adjacency, validate
 
 
 def single_record_report(record) -> RunReport:
@@ -120,7 +120,7 @@ class TestGenerateGraph:
                     else:
                         row.append(INFINITY)
                 rows.append(row)
-            assert generate_graph(s, index) == Graph.from_matrix(s.n, rows)
+            assert generate_graph(s, index) == Graph(s.n, matrix_adjacency(rows))
 
     def test_weights_stay_in_domain(self):
         g = generate_graph(spec(density=0.5, weight_lo=3, weight_hi=5, seed=9), 1)

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathlab import bench, render
+from pathlab import PathlabError, bench, cli, render
 from pathlab.cli import main
 from pathlab.graph import MAX_EDGES, MAX_SPARSE_VERTICES, MAX_VERTICES
 
@@ -355,6 +355,44 @@ class TestGraphFileBytes:
                     result = runner.invoke(main, argv)
                     assert result.exit_code in (0, 1, 2), result.output
                     assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+class TestErrorExit:
+    # one small bench run, without --out
+    BENCH_ARGS = ["--nodes", "3", "--density", "0.5", "--graphs", "1", "--seed", "1"]
+
+    @pytest.mark.parametrize(
+        "command, module, name",
+        [
+            ("trace", bench, "run_strategy"),
+            ("path", bench, "run_strategy"),
+            ("compare", bench, "compare"),
+            ("bench", bench, "run_suite"),
+            ("oracle", cli, "bellman_ford"),
+        ],
+    )
+    def test_pathlab_error_is_one_stderr_line_and_exit_1(
+        self, runner, tmp_path, monkeypatch, command, module, name
+    ):
+        def boom(*args, **kwargs):
+            raise PathlabError("boom")
+
+        monkeypatch.setattr(module, name, boom)
+        if command == "bench":
+            args = [*self.BENCH_ARGS, "--out", str(tmp_path / "r.csv")]
+        else:
+            args = [PAPER8, *FILE_COMMANDS[command]]
+        result = runner.invoke(main, [command, *args])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: boom\n"
+
+    def test_unwritable_report_is_input_error(self, runner, tmp_path):
+        out = tmp_path / "missing" / "r.csv"
+        result = runner.invoke(main, ["bench", *self.BENCH_ARGS, "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == f"error: cannot write {out}: No such file or directory\n"
 
 
 class TestBench:

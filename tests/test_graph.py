@@ -213,7 +213,7 @@ class TestValidate:
         unchecked = tuple(tuple(map(Weight.from_token, row)) for row in rows)
         violations = validate(unchecked)
         if not violations:
-            assert parse_matrix_text(text) == Graph.from_matrix(n, unchecked)
+            assert parse_matrix_text(text) == Graph(n, matrix_adjacency(unchecked))
             return
         with pytest.raises(violations[0].kind) as info:
             parse_matrix_text(text)
@@ -328,9 +328,7 @@ class TestSerialization:
 
 def test_graph_shape_is_checked():
     with pytest.raises(ValueError):
-        Graph.from_matrix(2, ((Weight.zero(),),))
-    with pytest.raises(ValueError):
-        Graph.from_matrix(0, ())
+        Graph(0, ())
     with pytest.raises(ValueError):
         Graph(2, ((),))
 
@@ -369,21 +367,14 @@ def test_scaled_adjacency_is_the_adjacency_times_the_lcm(g):
 def test_every_constructor_gives_the_adjacency_of_the_matrix(matrix, data):
     n, rows = matrix
     expected = matrix_adjacency(rows)
-    g = Graph.from_matrix(n, rows)
+    g = Graph(n, matrix_adjacency(rows))
     assert g.adjacency == expected
     assert g.weights == rows
     assert [[g.weight(u, v) for v in g.vertices()] for u in g.vertices()] == list(map(list, rows))
-    assert Graph.from_matrix(n, g.weights) == g
-    assert hash(Graph.from_matrix(n, g.weights)) == hash(g)
+    assert Graph(n, matrix_adjacency(g.weights)) == g
+    assert hash(Graph(n, matrix_adjacency(g.weights))) == hash(g)
     assert parse_matrix_text(to_matrix_text(g)).adjacency == expected
     # from_edges takes the edges in any order
     edges = data.draw(st.permutations(list(g.edges())))
     assert Graph.from_edges(n, edges).adjacency == expected
 
-
-def test_adjacency_skips_every_infinity_instance():
-    # a sentinel built separately from INFINITY is still no edge, and
-    # from_matrix ignores the diagonal
-    g = Graph.from_matrix(2, ((Weight.finite(7), Weight(None)), (Weight.finite(3), Weight.zero())))
-    assert g.adjacency == ((), ((1, Weight.finite(3)),))
-    assert g.weights == ((Weight.zero(), INFINITY), (Weight.finite(3), Weight.zero()))

@@ -156,6 +156,17 @@ class TestSelectPermanent:
         assert select_permanent(labels, Strategy.SINGLE_MIN, frozenset()) == {4}
         assert labels.settled_round(4) == 3
 
+    def test_selects_on_a_round_snapshot(self, paper8):
+        # each access gives a fresh state, so selecting on one settles the
+        # next round's batch in that state alone
+        trace = run_classic(paper8, 1)
+        snapshot = trace.rounds[1].label_snapshot
+        settled = select_permanent(snapshot, Strategy.SINGLE_MIN, frozenset())
+        assert settled == trace.rounds[2].newly_permanent == {5}
+        assert snapshot.settled_round(5) == 3
+        assert not trace.rounds[1].label_snapshot.is_permanent(5)
+        assert trace == run_classic(paper8, 1)
+
 
 class TestRunClassic:
     def test_tora_golden_final_labels(self, paper8_tora):

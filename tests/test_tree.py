@@ -56,7 +56,7 @@ class TestBuildTreeMatrix:
         tree = build_tree_matrix(paper8, trace)
         assert tree.weight(1, 3) == 2
         assert tree.weight(2, 3) == 0
-        assert tree.parent(3) == 1
+        assert tree.parents[3 - 1] == 1
 
     def test_each_settled_vertex_has_unique_parent(self, tora_tree):
         tree, trace = tora_tree
@@ -73,7 +73,7 @@ class TestBuildTreeMatrix:
     def test_unsettled_vertices_get_no_parent(self):
         g = Graph.from_edges(3, [(1, 2, 1)])
         tree = build_tree_matrix(g, run_classic(g, 1))
-        assert tree.parent(3) is None
+        assert tree.parents[3 - 1] is None
 
     def test_works_for_batched_runs(self, paper8):
         trace = run_modified(paper8, 1, strategy=Strategy.STABLE_BATCH)
@@ -121,7 +121,7 @@ def test_parent_links_match_the_column_scan(g, strategy, data):
     trace = run_strategy(g, source, strategy)
     tree = build_tree_matrix(g, trace)
     entries = reference_tree_entries(g, trace)
-    assert [tree.parent(v) for v in g.vertices()] == [
+    assert [tree.parents[v - 1] for v in g.vertices()] == [
         column_scan_parent(entries, v) for v in g.vertices()
     ]
     assert [[tree.weight(u, v) for v in g.vertices()] for u in g.vertices()] == entries
