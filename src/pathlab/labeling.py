@@ -15,13 +15,14 @@ permanent. The three selection strategies differ only in the batch:
 The run engine relaxes only the out-edges of the frontier, read from the
 graph's ``Graph.scaled_adjacency``: every weight times ``scale``, the lcm of
 the weight denominators, as an exact ``int``. It keeps each finite label as
-such an integer, relaxes with ``int`` additions and selects from a
-lazy-deletion heap keyed ``(scaled value, vertex id)``: the heap top is the
-lowest id at the minimum, a tie batch is the run of entries sharing the top
-value (a Dial bucket), and entries left behind by a later improvement or a
-settle are skipped when they surface. STABLE_BATCH also keeps the set of
-finite temporary labels. The rows hold ``Weight``s, one per distinct distance
-per run, so equal values in a trace are one object.
+such an integer, relaxes with ``int`` additions and selects in one loop over
+a lazy-deletion heap keyed ``(scaled value, vertex id)``. The loop drops the
+entries left behind by a later improvement or a settle, and stops after the
+first current entry, the lowest id at the minimum, or when batching after the
+last entry tied with it: a tie batch is the run of entries sharing the top
+value (a Dial bucket). STABLE_BATCH also keeps the set of finite temporary
+labels. The rows hold ``Weight``s, one per distinct distance per run, so
+equal values in a trace are one object.
 
 Every round is recorded so runs can be replayed, rendered, and
 regression-tested against golden traces. A label state is one list of rows,
@@ -109,9 +110,6 @@ class LabelState:
 
     def all_permanent(self) -> bool:
         return None not in map(itemgetter(2), self._rows)
-
-    def permanent_vertices(self) -> frozenset[int]:
-        return frozenset(v for v in self.vertices() if self.is_permanent(v))
 
     def distances(self) -> tuple[Weight, ...]:
         return tuple(map(itemgetter(0), self._rows))
@@ -362,6 +360,7 @@ def _run(
     weight_of: dict[int, Weight] = {}
     heap: list[tuple[int, int]] = []
     finite_temporary: set[int] = set()
+    batching = strategy is not Strategy.SINGLE_MIN
     unsettled = g.n - 1
     rounds: list[RoundRecord] = []
     record: RoundRecord | None = None
@@ -396,7 +395,14 @@ def _run(
                 elif candidate == old:
                     rows[v - 1] = (row[0], row[1] | {u}, None)
                     extended.add(v)
-        newly = _pop_minimum(heap, exact, rows, strategy is not Strategy.SINGLE_MIN)
+        # Select the first current entry (its vertex temporary at the entry's
+        # value), and when batching every one tied with it, dropping the rest.
+        # None is current when no temporary label is finite: the run ends.
+        newly = set()
+        while heap and (not newly or batching and heap[0][0] == minimum):
+            minimum, v = heappop(heap)
+            if rows[v - 1][2] is None and exact[v - 1] == minimum:
+                newly.add(v)
         if not newly:
             break
         if strategy is Strategy.STABLE_BATCH:
@@ -420,27 +426,3 @@ def _run(
         final_labels=LabelState(rows),
         terminated_early=terminated_early,
     )
-
-
-def _pop_minimum(
-    heap: list[tuple[int, int]],
-    exact: list[int | None],
-    rows: list[_Row],
-    whole_tie_class: bool,
-) -> set[int]:
-    """Pop the lowest-id temporary vertex at the minimum, or all tied with it.
-
-    An entry is current when its vertex is temporary and still holds the
-    entry's value; any other entry was left behind and is dropped. Empty when
-    no temporary label is finite.
-    """
-    minimum = None
-    chosen: set[int] = set()
-    while heap and (minimum is None or heap[0][0] == minimum):
-        value, v = heappop(heap)
-        if rows[v - 1][2] is None and exact[v - 1] == value:
-            chosen.add(v)
-            minimum = value
-            if not whole_tie_class:
-                break
-    return chosen

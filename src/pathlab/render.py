@@ -274,7 +274,8 @@ def trace_from_json(text: str) -> RunTrace:
     final distances, a status given its settled_round, a round record or
     the labels it changes given the final settled rounds, or the final
     labels given the last round's. A round may not change a permanent label
-    or raise a value.
+    or raise a value, and settles at least one vertex (one under singlemin).
+    ``terminated_early`` must agree with the target and the temporary labels.
     """
     try:
         data = json.loads(text)
@@ -314,12 +315,15 @@ def trace_from_json(text: str) -> RunTrace:
 
 
 def _check_rounds(trace: RunTrace) -> None:
-    """Raise ValueError unless round 0 settles the source alone; round k has
-    index k, relaxes from round k - 1's batch and settles, among the labels
-    it changes, exactly the vertices whose final settled_round is k; no
-    round changes a permanent label or raises a value; and the final labels
-    are the initial ones with every round's changes applied. O(n + rounds +
-    changes)."""
+    """Raise ValueError unless round 0 settles the source alone; every round
+    settles at least one vertex, and exactly one under SINGLE_MIN; round k
+    has index k, relaxes from round k - 1's batch and settles, among the
+    labels it changes, exactly the vertices whose final settled_round is k;
+    no round changes a permanent label or raises a value; the final labels
+    are the initial ones with every round's changes applied; and
+    terminated_early holds exactly when the target settles in the last round
+    (round 0 when there are none) with some label left temporary, and
+    otherwise no temporary label is finite. O(n + rounds + changes)."""
     final = trace.final_labels
     batches: list[list[int]] = [[] for _ in range(len(trace.rounds) + 1)]
     for v, (_, _, r) in enumerate(final.rows(), start=1):
@@ -329,6 +333,10 @@ def _check_rounds(trace: RunTrace) -> None:
             batches[r].append(v)
     if batches[0] != [trace.source]:
         raise ValueError("only the source settles in round 0")
+    if [] in batches:
+        raise ValueError(f"round {batches.index([])} settles nothing")
+    if trace.strategy is Strategy.SINGLE_MIN and max(map(len, batches)) > 1:
+        raise ValueError("a singlemin round settles more than one vertex")
     sets = list(map(frozenset, batches))
     rows = list(LabelState.initial(final.n, trace.source).rows())
     for k, record in enumerate(trace.rounds, start=1):
@@ -346,6 +354,11 @@ def _check_rounds(trace: RunTrace) -> None:
             raise ValueError(f"round {k}'s settled rounds disagree with the final ones")
     if final != LabelState(rows):
         raise ValueError("final_labels are not the labels of the last round")
+    temporary = [value for value, _, r in rows if r is None]
+    if trace.terminated_early and not (temporary and trace.target in batches[-1]):
+        raise ValueError("terminated_early, but the run does not stop when its target settles")
+    if not trace.terminated_early and any(value.is_finite for value in temporary):
+        raise ValueError("not terminated_early, but a temporary label is finite")
 
 
 def render_tree_matrix(t: TreeMatrix) -> str:

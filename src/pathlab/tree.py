@@ -25,28 +25,14 @@ class TreeMatrix:
 
     ``parents[v - 1]`` is the parent of v, or None for the source and for
     vertices with no parent; ``parent_weights[v - 1]`` is the weight of the
-    edge from that parent, or None. The matrix entries are derived.
+    edge from that parent, or None. :func:`pathlab.render.render_tree_matrix`
+    writes the matrix from ``parents`` and ``parent_weights``.
     """
 
     n: int
     source: int
     parents: tuple[int | None, ...]
     parent_weights: tuple[Weight | None, ...]
-
-    def weight(self, u: int, v: int) -> Weight:
-        """Entry (u, v): the edge weight when u is the parent of v, else zero."""
-        if self.parents[v - 1] == u:
-            return self.parent_weights[v - 1]
-        return Weight.zero()
-
-    def nonzero(self) -> dict[tuple[int, int], Weight]:
-        return dict(
-            sorted(
-                ((u, v), w)
-                for v, (u, w) in enumerate(zip(self.parents, self.parent_weights), start=1)
-                if u is not None
-            )
-        )
 
 
 @dataclass(frozen=True)
@@ -85,8 +71,6 @@ def extract_path(t: TreeMatrix, target: int) -> Route:
     """Walk parent links from target back to the source and sum the edges."""
     if not (1 <= target <= t.n):
         raise VertexOutOfRange(f"vertex {target} outside 1..{t.n}")
-    if target == t.source:
-        return Route((t.source,), Weight.zero())
     chain = [target]
     current = target
     while current != t.source:

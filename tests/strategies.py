@@ -32,6 +32,13 @@ def exact_weights(draw) -> Weight:
 
 
 @st.composite
+def tied_weights(draw) -> Weight:
+    # Weight 1 or 2, so two members of one batch often reach a vertex at the
+    # same value: the ties the batched strategies settle together.
+    return Weight.finite(draw(st.sampled_from([1, 2])))
+
+
+@st.composite
 def matrices(draw, max_n: int = 6, weights=finite_weights) -> tuple[int, tuple]:
     """(n, rows): an n-by-n matrix with a zero diagonal and, off it, drawn
     weights or INFINITY."""

@@ -94,8 +94,8 @@ def fuzz_records() -> list[FuzzRecord]:
                             tie_batch_sizes=tuple(
                                 len(r.newly_permanent) for r in tie.rounds
                             ),
-                            settled_nonsource=len(
-                                tie.final_labels.permanent_vertices()
+                            settled_nonsource=sum(
+                                map(tie.final_labels.is_permanent, g.vertices())
                             )
                             - 1,
                             single_matches_oracle=single.final_distances == oracle,
@@ -160,15 +160,8 @@ def test_criterion_3_stable_batch_five_round_schedule(paper8):
 def test_criterion_4_tree_matrix_and_route(paper8_tora):
     trace = run_classic(paper8_tora, 1)
     tree = build_tree_matrix(paper8_tora, trace)
-    assert tree.nonzero() == {
-        (1, 2): Weight.finite(1),
-        (2, 3): Weight.finite(1),
-        (2, 5): Weight.finite(2),
-        (3, 4): Weight.finite(2),
-        (3, 6): Weight.finite(4),
-        (5, 7): Weight.finite(7),
-        (6, 8): Weight.finite(2),
-    }
+    assert tree.parents == (None, 1, 2, 3, 2, 3, 5, 6)
+    assert tree.parent_weights == (None, *map(Weight.finite, (1, 1, 2, 2, 4, 7, 2)))
     route = extract_path(tree, 8)
     assert route.vertices == (1, 2, 3, 6, 8)
     assert route.total == 8

@@ -15,6 +15,7 @@ from pathlab.cli import main
 from pathlab.graph import MAX_EDGES, MAX_SPARSE_VERTICES, MAX_VERTICES
 
 from .conftest import fixture_path
+from .test_graph import EDGE_LIST_ERRORS
 from .test_render import GOLDEN_FINAL_TABLE
 
 PAPER8 = str(fixture_path("paper8.mat"))
@@ -318,6 +319,15 @@ class TestOracle:
         assert result.exit_code == 0
         assert result.stdout.splitlines()[1:3] == ["   1 | 0", "   2 | 2.5"]
         assert result.stdout.splitlines()[-1] == f"{n:4d} | 2"
+
+    @pytest.mark.parametrize("text, message", EDGE_LIST_ERRORS)
+    def test_edge_list_format_error_is_input_error(self, runner, tmp_path, text, message):
+        graph = tmp_path / "bad.edges"
+        graph.write_text(text)
+        result = runner.invoke(main, ["oracle", str(graph), "--source", "1"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == f"error: {message}\n"
 
     def test_huge_exponent_weight_is_input_error(self, runner, tmp_path):
         # parsed by Fraction, 1e5000 used to fail only when printed

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import time
 from fractions import Fraction
 from math import lcm
@@ -46,6 +47,15 @@ NON_DECIMAL_TOKENS = [
     "1.2.3",
     pytest.param("1" * 31, id="31_digits"),
     pytest.param("0." + "1" * 30, id="31_digits_with_point"),
+]
+
+# Edge-list files that break the format, and the exact message of each.
+EDGE_LIST_ERRORS = [
+    pytest.param("2 x\n", "header must be two integers, got '2 x'", id="non_integer_header"),
+    pytest.param("0 0\n", "vertex count must be >= 1, got 0", id="no_vertices"),
+    pytest.param("2 -1\n", "edge count must be >= 0, got -1", id="negative_edge_count"),
+    pytest.param("2 1\n1 a 3\n", "non-integer vertex in edge line '1 a 3'", id="non_integer_vertex"),
+    pytest.param("2 1\n1 2 INF\n", "edge line '1 2 INF': weight must be finite", id="inf_weight"),
 ]
 
 
@@ -170,6 +180,11 @@ class TestParseEdgeList:
         with pytest.raises(MalformedInput):
             parse_edge_list("2 1\n1 2 INF\n")
 
+    @pytest.mark.parametrize("text, message", EDGE_LIST_ERRORS)
+    def test_format_errors_name_their_fault(self, text, message):
+        with pytest.raises(MalformedInput, match=f"^{re.escape(message)}$"):
+            parse_edge_list(text)
+
     @given(graphs())
     def test_parsed_edge_lists_validate_ok(self, g):
         # the parser checks each edge through Graph.from_edges; validate is
@@ -235,6 +250,11 @@ class TestFromEdges:
     )
     def test_rejects_non_positive_and_infinite_weights(self, weight, error):
         with pytest.raises(error):
+            Graph.from_edges(3, [(1, 2, weight)])
+
+    @pytest.mark.parametrize("weight", [INFINITY, Weight(None)], ids=["INFINITY", "another INF"])
+    def test_infinite_weight_error_names_the_edge(self, weight):
+        with pytest.raises(MalformedInput, match=r"^edge \(1,2\) has weight INF$"):
             Graph.from_edges(3, [(1, 2, weight)])
 
     def test_negative_weight_error_names_the_edge(self):

@@ -85,6 +85,20 @@ class TestRelaxStep:
         oracle_total, _ = enumerate_min_path(tie4, 1, 4)
         assert oracle_total == after.value(4)
 
+    def test_two_frontier_vertices_tie_at_one_value(self):
+        # 2 and 3 reach 4 at the same value within one frontier: both are
+        # minimizers, the case the batched strategies settle together
+        g = Graph.from_edges(4, [(1, 2, 1), (1, 3, 1), (2, 4, 1), (3, 4, 1)])
+        labels, changed = relax_step(g, init_labels(g, 1), {1})
+        assert select_permanent(labels, Strategy.TIE_BATCH, changed) == {2, 3}
+        after, changed = relax_step(g, labels, {2, 3})
+        assert after.value(4) == 2
+        assert after.predecessors(4) == {2, 3}
+        assert changed == {4}
+        traces = [run_strategy(g, 1, strategy) for strategy in Strategy]
+        assert [trace.rounds_count for trace in traces] == [3, 2, 2]
+        assert [trace.final_labels.predecessors(4) for trace in traces] == [{2, 3}] * 3
+
     def test_equal_value_path_extends_predecessors_without_change(self, paper8):
         # vertex 5 reaches 3 both via 2 and, one round later, via 3
         trace = run_classic(paper8, 1)
@@ -259,7 +273,7 @@ class TestTraceInvariants:
             run_modified(paper8, 1, strategy=Strategy.STABLE_BATCH),
         ):
             settled = set().union(*(r.newly_permanent for r in trace.rounds)) | {1}
-            assert settled == trace.final_labels.permanent_vertices()
+            assert settled == set(filter(trace.final_labels.is_permanent, paper8.vertices()))
             assert all(r.newly_permanent for r in trace.rounds)
             assert sum(len(r.newly_permanent) for r in trace.rounds) == len(settled) - 1
             assert trace.rounds_count_incl_source == trace.rounds_count + 1

@@ -23,7 +23,7 @@ from pathlab import (
 from pathlab.bench import run_strategy
 from pathlab.render import trace_from_json, trace_to_json
 
-from .strategies import exact_weights, graphs
+from .strategies import exact_weights, graphs, tied_weights
 
 ALL_RUNS = [
     lambda g: run_classic(g, 1),
@@ -129,7 +129,10 @@ def test_tree_paths_reproduce_distances(g):
 def test_tree_edges_are_consistent(g):
     trace = run_classic(g, 1)
     tree = build_tree_matrix(g, trace)
-    for (u, v), w in tree.nonzero().items():
+    for v, (u, w) in enumerate(zip(tree.parents, tree.parent_weights), start=1):
+        if u is None:
+            assert w is None
+            continue
         assert g.weight(u, v) == w
         assert trace.final_distances[u - 1] + w == trace.final_distances[v - 1]
 
@@ -170,9 +173,15 @@ def replay_rounds(g, source, target, stop_at_target, strategy):
     return rounds, labels, False
 
 
-# Decimal weights, and rationals whose denominators 3 and 7 make the engine's
-# scale something other than a power of ten.
-@given(graphs(max_n=8) | graphs(max_n=8, weights=exact_weights), st.data())
+# Decimal weights, rationals whose denominators 3 and 7 make the engine's
+# scale something other than a power of ten, and weights 1 and 2, whose
+# equal-value paths within one round fill predecessor sets and tie classes.
+@given(
+    graphs(max_n=8)
+    | graphs(max_n=8, weights=exact_weights)
+    | graphs(max_n=8, weights=tied_weights),
+    st.data(),
+)
 @settings(max_examples=150)
 def test_runs_equal_a_round_api_replay(g, data):
     source = data.draw(st.integers(1, g.n))
@@ -201,7 +210,12 @@ def _changed_rows(before, after) -> list:
 
 @pytest.mark.parametrize("stop_at_target", [False, True])
 @pytest.mark.parametrize("strategy", list(Strategy))
-@given(graphs(max_n=8) | graphs(max_n=8, weights=exact_weights), st.data())
+@given(
+    graphs(max_n=8)
+    | graphs(max_n=8, weights=exact_weights)
+    | graphs(max_n=8, weights=tied_weights),
+    st.data(),
+)
 @settings(max_examples=40)
 def test_changes_are_the_rows_that_differ_from_the_round_before(strategy, stop_at_target, g, data):
     source = data.draw(st.integers(1, g.n))

@@ -370,6 +370,21 @@ MALFORMED_DOCUMENTS = {
         "rounds_count": 0,
         "rounds_count_incl_source": 1,
     },
+    # documents that break an invariant of every run: each round settles a
+    # vertex, exactly one under singlemin, and terminated_early says whether
+    # the run stopped as its target settled with labels left temporary
+    "round_settles_nothing": lambda doc: _with_empty_round(doc, 3),
+    "singlemin_round_settles_two": lambda doc: {
+        **doc, "strategy": "singlemin", "algorithm": "classic"
+    },
+    "terminated_early_with_every_label_permanent": lambda doc: {**doc, "terminated_early": True},
+    "terminated_early_without_target": lambda doc: {
+        **_cut_after(doc, 2), "target": None, "terminated_early": True
+    },
+    "terminated_early_before_target_settles": lambda doc: {
+        **_cut_after(doc, 2), "terminated_early": True
+    },
+    "finite_temporary_label_without_early_stop": lambda doc: _cut_after(doc, 2),
 }
 
 ROUND_CONTRADICTIONS = [
@@ -391,6 +406,34 @@ def _with_round_row(doc: dict, index: int, vertex: int, **fields) -> dict:
     labels = [{**row, **fields} if row["vertex"] == vertex else row
               for row in doc["rounds"][index]["labels"]]
     return _with_round(doc, index, labels=labels)
+
+
+def _with_empty_round(doc: dict, k: int) -> dict:
+    """``doc`` with an extra round k that settles nothing: it repeats round
+    k - 1's labels, the later rounds are renumbered, the first of them
+    relaxing from the empty batch, and every settled round from k on moves
+    up one."""
+    def shifted(row):
+        r = row["settled_round"]
+        return {**row, "settled_round": r + 1} if r is not None and r >= k else row
+
+    rounds = doc["rounds"]
+    empty = {"round_index": k, "frontier": rounds[k - 2]["newly_permanent"],
+             "newly_permanent": [], "labels": rounds[k - 2]["labels"]}
+    later = [{**r, "round_index": r["round_index"] + 1, "labels": list(map(shifted, r["labels"]))}
+             for r in rounds[k - 1:]]
+    later[0] = {**later[0], "frontier": []}
+    rounds = rounds[:k - 1] + [empty] + later
+    return {**doc, "rounds": rounds, "final_labels": list(map(shifted, doc["final_labels"])),
+            "rounds_count": len(rounds), "rounds_count_incl_source": len(rounds) + 1}
+
+
+def _cut_after(doc: dict, k: int) -> dict:
+    """``doc`` cut after round k: its labels become the final ones."""
+    labels = doc["rounds"][k - 1]["labels"]
+    return {**doc, "rounds": doc["rounds"][:k], "final_labels": labels,
+            "final_distances": [row["value"] for row in labels],
+            "rounds_count": k, "rounds_count_incl_source": k + 1}
 
 
 def _with_vertex_rows(doc: dict, vertex: int, **fields) -> dict:
@@ -427,6 +470,48 @@ def test_a_round_that_changes_a_settled_label_or_raises_a_value_is_malformed_inp
     doc = json.loads(trace_to_json(run_classic(paper8, 1)))
     with pytest.raises(MalformedInput, match=message):
         trace_from_json(json.dumps(MALFORMED_DOCUMENTS[name](doc)))
+
+
+def _document(trace: RunTrace) -> dict:
+    return json.loads(trace_to_json(trace))
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(
+        lambda paper8, tie4: _with_empty_round(_document(run_classic(paper8, 1)), 3),
+        "round 3 settles nothing",
+        id="classic_round_settles_nothing",
+    ),
+    pytest.param(
+        lambda paper8, tie4: {
+            **_document(run_modified(tie4, 1)), "strategy": "singlemin", "algorithm": "classic"
+        },
+        "a singlemin round settles more than one vertex",
+        id="tiebatch_relabelled_singlemin",
+    ),
+    pytest.param(
+        lambda paper8, tie4: {**_document(run_classic(paper8, 1)), "terminated_early": True},
+        "terminated_early, but the run does not stop when its target settles",
+        id="terminated_early_without_target",
+    ),
+    pytest.param(
+        lambda paper8, tie4: {
+            **_document(run_classic(paper8, 1, 8)), "terminated_early": True
+        },
+        "terminated_early, but the run does not stop when its target settles",
+        id="terminated_early_after_a_full_run",
+    ),
+    pytest.param(
+        lambda paper8, tie4: {
+            **_document(run_classic(paper8, 1, 3, stop_at_target=True)), "terminated_early": False
+        },
+        "not terminated_early, but a temporary label is finite",
+        id="stopped_run_not_terminated_early",
+    ),
+])
+def test_a_document_no_run_writes_is_malformed_input(paper8, tie4, make, message):
+    with pytest.raises(MalformedInput, match=f"^malformed trace: {message}$"):
+        trace_from_json(json.dumps(make(paper8, tie4)))
 
 
 def test_source_not_settled_in_round_zero_is_malformed_input():

@@ -33,20 +33,14 @@ def tora_tree(paper8_tora):
 class TestBuildTreeMatrix:
     def test_tora_nonzero_entries(self, tora_tree):
         tree, _ = tora_tree
-        assert tree.nonzero() == {
-            (1, 2): Weight.finite(1),
-            (2, 3): Weight.finite(1),
-            (2, 5): Weight.finite(2),
-            (3, 4): Weight.finite(2),
-            (3, 6): Weight.finite(4),
-            (5, 7): Weight.finite(7),
-            (6, 8): Weight.finite(2),
-        }
+        assert tree.parents == (None, 1, 2, 3, 2, 3, 5, 6)
+        assert tree.parent_weights == (None, *map(Weight.finite, (1, 1, 2, 2, 4, 7, 2)))
 
     def test_single_vertex_tree_is_all_zero(self):
         g = parse_matrix_text("1\n0")
         tree = build_tree_matrix(g, run_classic(g, 1))
-        assert tree.nonzero() == {}
+        assert (tree.parents, tree.parent_weights) == ((None,), (None,))
+        assert render_tree_matrix(tree) == "1\n0\n"
 
     def test_lowest_id_parent_when_routes_tie(self, paper8):
         # on the symmetric-weight variant both 1 and 2 reach vertex 3 at
@@ -54,19 +48,21 @@ class TestBuildTreeMatrix:
         trace = run_classic(paper8, 1)
         assert trace.final_labels.predecessors(3) == {1, 2}
         tree = build_tree_matrix(paper8, trace)
-        assert tree.weight(1, 3) == 2
-        assert tree.weight(2, 3) == 0
         assert tree.parents[3 - 1] == 1
+        assert tree.parent_weights[3 - 1] == 2
 
     def test_each_settled_vertex_has_unique_parent(self, tora_tree):
         tree, trace = tora_tree
         for v in range(2, 9):
-            parents = [u for u in range(1, 9) if tree.weight(u, v) != Weight.zero()]
-            assert len(parents) == 1
+            assert tree.parents[v - 1] in range(1, 9)
+            assert tree.parent_weights[v - 1] > Weight.zero()
 
     def test_tree_edges_are_consistent_with_distances(self, tora_tree, paper8_tora):
         tree, trace = tora_tree
-        for (u, v), w in tree.nonzero().items():
+        for v, (u, w) in enumerate(zip(tree.parents, tree.parent_weights), start=1):
+            if u is None:
+                assert v == 1 and w is None
+                continue
             assert w == paper8_tora.weight(u, v)
             assert trace.final_distances[u - 1] + w == trace.final_distances[v - 1]
 
@@ -124,7 +120,6 @@ def test_parent_links_match_the_column_scan(g, strategy, data):
     assert [tree.parents[v - 1] for v in g.vertices()] == [
         column_scan_parent(entries, v) for v in g.vertices()
     ]
-    assert [[tree.weight(u, v) for v in g.vertices()] for u in g.vertices()] == entries
     rows = [" ".join(str(w) for w in row) for row in entries]
     assert render_tree_matrix(tree) == "\n".join([str(g.n)] + rows) + "\n"
 
@@ -135,6 +130,8 @@ def test_trees_above_the_dense_cap_route_but_do_not_render():
     tree = build_tree_matrix(g, run_classic(g, 1))
     assert extract_path(tree, 2).vertices == (1, n, 2)
     assert extract_path(tree, 2).total == 5
-    assert tree.nonzero() == {(1, n): Weight.finite(2), (n, 2): Weight.finite(3)}
+    parents = {v: (u, w) for v, (u, w) in enumerate(zip(tree.parents, tree.parent_weights), 1)
+               if u is not None or w is not None}
+    assert parents == {n: (1, Weight.finite(2)), 2: (n, Weight.finite(3))}
     with pytest.raises(GraphTooLarge, match=f"limit of {MAX_VERTICES}$"):
         render_tree_matrix(tree)
