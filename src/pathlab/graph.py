@@ -133,9 +133,11 @@ class Graph:
         A weight is a Weight or anything ``Weight.finite`` takes. Edges are
         checked in order, and the first bad one raises VertexOutOfRange,
         SelfLoop, DuplicateEdge, MalformedInput (an INFINITY weight) or
-        NegativeOrZeroWeight. Raises GraphTooLarge above
-        ``MAX_SPARSE_VERTICES``.
+        NegativeOrZeroWeight. Raises MalformedInput below one vertex and
+        GraphTooLarge above ``MAX_SPARSE_VERTICES``.
         """
+        if n < 1:
+            raise MalformedInput(f"vertex count must be >= 1, got {n}")
         check_size(n, MAX_SPARSE_VERTICES)
         out: list[dict[int, Weight]] = [{} for _ in range(n)]
         for u, v, w in edges:

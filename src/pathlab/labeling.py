@@ -142,7 +142,7 @@ class RoundRecord:
     from the one before the round (the initial labels before round 1), by
     ascending vertex, with the new row. Records compare by their four public
     fields; the run's initial labels and the previous record are kept only
-    to replay :attr:`label_snapshot`.
+    to rebuild :attr:`label_snapshot` as a plain ``LabelState``.
     """
 
     round_index: int
@@ -154,45 +154,20 @@ class RoundRecord:
 
     @property
     def label_snapshot(self) -> LabelState:
-        """The labels after this round, a fresh state on each access:
-        ``n`` is O(1), and the first read of a row replays the changes of
-        every round up to this one, O(n + changes)."""
-        return _Snapshot(self)
-
-
-class _Snapshot(LabelState):
-    """A round's labels: a list of rows replayed on first read."""
-
-    __slots__ = ("_record", "_replayed")
-
-    def __init__(self, record: RoundRecord):
-        self._record = record
-        self._replayed: list[_Row] | None = None
-
-    @property
-    def _rows(self) -> list[_Row]:
-        if self._replayed is None:
-            self._replayed = _replay(self._record)
-        return self._replayed
-
-    @property
-    def n(self) -> int:
-        return self._record._initial.n
-
-
-def _replay(record: RoundRecord) -> list[_Row]:
-    """The rows after ``record``'s round: the run's initial rows with the
-    changes of every round up to it applied in order. Walks the records
-    back iteratively, so a run of any length replays without recursion."""
-    rows = list(record._initial.rows())
-    history = []
-    while record is not None:
-        history.append(record.changes)
-        record = record._previous
-    for changes in reversed(history):
-        for v, row in changes:
-            rows[v - 1] = row
-    return rows
+        """The labels after this round, a fresh state on each access: the
+        run's initial rows with the changes of every round up to this one
+        applied in order, O(n + changes). Walks the records back
+        iteratively, so a run of any length replays without recursion."""
+        history = []
+        record = self
+        while record is not None:
+            history.append(record.changes)
+            record = record._previous
+        rows = list(self._initial.rows())
+        for changes in reversed(history):
+            for v, row in changes:
+                rows[v - 1] = row
+        return LabelState(rows)
 
 
 @dataclass(frozen=True)

@@ -234,7 +234,7 @@ class _TraceLoader:
         if len(_typed(items, list)) != self.n:
             raise ValueError(f"a label list has {len(items)} rows, expected {self.n}")
         vertex, value, preds, status, settled = zip(*map(_ROW_FIELDS, items))
-        if vertex != self.vertex_ids:
+        if vertex != self.vertex_ids or not set(map(type, vertex)) <= {int}:
             raise ValueError("label rows must list vertices 1..n in order")
         if not {type(p) for p in preds} <= {list}:
             raise TypeError("predecessors must be lists")
@@ -275,6 +275,9 @@ def trace_from_json(text: str) -> RunTrace:
     the labels it changes given the final settled rounds, or the final
     labels given the last round's. A round may not change a permanent label
     or raise a value, and settles at least one vertex (one under singlemin).
+    A changed label is finite. A lowered one takes a non-empty subset of
+    the round's frontier as predecessors, a kept one keeps its predecessors
+    and adds only frontier vertices, and each predecessor's value is lower.
     ``terminated_early`` must agree with the target and the temporary labels.
     """
     try:
@@ -319,8 +322,11 @@ def _check_rounds(trace: RunTrace) -> None:
     settles at least one vertex, and exactly one under SINGLE_MIN; round k
     has index k, relaxes from round k - 1's batch and settles, among the
     labels it changes, exactly the vertices whose final settled_round is k;
-    no round changes a permanent label or raises a value; the final labels
-    are the initial ones with every round's changes applied; and
+    no round changes a permanent label or raises a value; every change holds
+    a finite value and at least one predecessor, replaces the predecessors
+    when the value drops and keeps them when it stays, and adds only
+    frontier vertices, each of a lower value; the final labels are
+    the initial ones with every round's changes applied; and
     terminated_early holds exactly when the target settles in the last round
     (round 0 when there are none) with some label left temporary, and
     otherwise no temporary label is finite. O(n + rounds + changes)."""
@@ -343,11 +349,20 @@ def _check_rounds(trace: RunTrace) -> None:
         if (record.round_index, record.frontier, record.newly_permanent) != (k, sets[k - 1], sets[k]):
             raise ValueError("a round record disagrees with its position or the final settled rounds")
         for v, row in record.changes:
-            old = rows[v - 1]
-            if old[2] is not None:
+            value, preds, _ = row
+            old_value, old_preds, old_settled = rows[v - 1]
+            if old_settled is not None:
                 raise ValueError(f"round {k} changes vertex {v}'s permanent label")
-            if old[0] < row[0]:
+            if old_value < value:
                 raise ValueError(f"round {k} raises vertex {v}'s value")
+            if not (value.is_finite and preds):
+                raise ValueError(f"round {k} gives vertex {v} no finite value or no predecessor")
+            kept = old_preds if value == old_value else frozenset()
+            added = preds - kept
+            if not (kept <= preds and added <= record.frontier):
+                raise ValueError(f"round {k} changes vertex {v}'s predecessors outside its frontier")
+            if any(not rows[u - 1][0] < value for u in added):
+                raise ValueError(f"round {k} gives vertex {v} a predecessor not below its value")
             rows[v - 1] = row
         settled = [(v, row[2]) for v, row in record.changes if row[2] is not None]
         if settled != [(v, k) for v in batches[k]]:

@@ -39,10 +39,10 @@ def tied_weights(draw) -> Weight:
 
 
 @st.composite
-def matrices(draw, max_n: int = 6, weights=finite_weights) -> tuple[int, tuple]:
-    """(n, rows): an n-by-n matrix with a zero diagonal and, off it, drawn
-    weights or INFINITY."""
-    n = draw(st.integers(min_value=1, max_value=max_n))
+def matrices(draw, max_n: int = 6, weights=finite_weights, min_n: int = 1) -> tuple[int, tuple]:
+    """(n, rows): an n-by-n matrix, min_n <= n <= max_n, with a zero
+    diagonal and, off it, drawn weights or INFINITY."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     rows = []
     for i in range(n):
         row = []
@@ -58,8 +58,8 @@ def matrices(draw, max_n: int = 6, weights=finite_weights) -> tuple[int, tuple]:
 
 
 @st.composite
-def graphs(draw, max_n: int = 6, weights=finite_weights) -> Graph:
-    n, rows = draw(matrices(max_n, weights))
+def graphs(draw, max_n: int = 6, weights=finite_weights, min_n: int = 1) -> Graph:
+    n, rows = draw(matrices(max_n, weights, min_n))
     return Graph(n, matrix_adjacency(rows))
 
 

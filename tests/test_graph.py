@@ -261,6 +261,14 @@ class TestFromEdges:
         with pytest.raises(NegativeOrZeroWeight, match=r"^edge \(1,2\) has non-positive weight -1$"):
             Graph.from_edges(3, [(1, 2, -1)])
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_fewer_than_one_vertex_is_malformed_input(self, n):
+        with pytest.raises(MalformedInput, match=f"^vertex count must be >= 1, got {n}$"):
+            Graph.from_edges(n, [])
+        # the trusted constructor checks its own invariant, not input
+        with pytest.raises(ValueError, match="^graph needs at least one vertex$"):
+            Graph(n, ())
+
     @pytest.mark.parametrize(
         "edges, error",
         [

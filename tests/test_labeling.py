@@ -181,6 +181,15 @@ class TestSelectPermanent:
         assert not trace.rounds[1].label_snapshot.is_permanent(5)
         assert trace == run_classic(paper8, 1)
 
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_a_round_snapshot_is_a_plain_label_state(self, paper8, strategy):
+        trace = run_strategy(paper8, 1, strategy)
+        for record in trace.rounds:
+            snapshot = record.label_snapshot
+            assert type(snapshot) is LabelState
+            assert snapshot is not record.label_snapshot
+            assert snapshot == record.label_snapshot
+
 
 class TestRunClassic:
     def test_tora_golden_final_labels(self, paper8_tora):

@@ -199,6 +199,19 @@ def test_runs_equal_a_round_api_replay(g, data):
     assert trace.terminated_early == terminated_early
 
 
+@pytest.mark.parametrize("strategy", [Strategy.TIE_BATCH, Strategy.STABLE_BATCH])
+@given(graphs(min_n=6, max_n=8, weights=tied_weights))
+@settings(max_examples=80)
+def test_batched_runs_with_ties_equal_a_round_api_replay(strategy, g):
+    # Batches of several frontier vertices, at least six vertices and
+    # weights 1 and 2: paths through two members of one batch often reach a
+    # vertex at one value, so relax_step takes its equal-candidate branch.
+    trace = run_strategy(g, 1, strategy)
+    rounds, labels, _ = replay_rounds(g, 1, None, False, strategy)
+    assert [(r.frontier, r.label_snapshot, r.newly_permanent) for r in trace.rounds] == rounds
+    assert trace.final_labels == labels
+
+
 def _changed_rows(before, after) -> list:
     """``(vertex, row)`` for every vertex whose row differs, by ascending vertex."""
     return [

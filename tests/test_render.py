@@ -385,6 +385,20 @@ MALFORMED_DOCUMENTS = {
         **_cut_after(doc, 2), "terminated_early": True
     },
     "finite_temporary_label_without_early_stop": lambda doc: _cut_after(doc, 2),
+    # label rows no relaxation writes: a vertex field equal to an int but
+    # not one, a finite value without predecessors, a vertex that is its own
+    # predecessor, vertex 5 dropping predecessor 2 when round 3 extends it
+    # via 3 at the value it kept, a value below its predecessor's, and an
+    # unreachable vertex settled at INF
+    "true_vertex": lambda doc: _with_vertex_rows(doc, 1, vertex=True),
+    "float_vertex": lambda doc: _with_vertex_rows(doc, 2, vertex=2.0),
+    "finite_value_without_predecessors": lambda doc: _with_vertex_rows(doc, 2, predecessors=[]),
+    "own_predecessor": lambda doc: _with_vertex_rows(doc, 2, predecessors=[2]),
+    "kept_value_drops_a_predecessor": lambda doc: _with_vertex_rows(
+        doc, 5, from_round=3, predecessors=[3]
+    ),
+    "value_below_its_predecessor": lambda doc: _with_negative_value(doc, 2),
+    "unreachable_vertex_settles": lambda doc: _unreachable_vertex_settles(),
 }
 
 ROUND_CONTRADICTIONS = [
@@ -436,13 +450,31 @@ def _cut_after(doc: dict, k: int) -> dict:
             "rounds_count": k, "rounds_count_incl_source": k + 1}
 
 
-def _with_vertex_rows(doc: dict, vertex: int, **fields) -> dict:
-    """``doc`` with ``fields`` set in ``vertex``'s row of every label list."""
+def _with_vertex_rows(doc: dict, v: int, from_round: int = 1, **fields) -> dict:
+    """``doc`` with ``fields`` set in vertex v's row of the final labels and
+    of every round's labels from round ``from_round`` on."""
     def change(row):
-        return {**row, **fields} if row["vertex"] == vertex else row
+        return {**row, **fields} if row["vertex"] == v else row
 
-    rounds = [{**r, "labels": list(map(change, r["labels"]))} for r in doc["rounds"]]
+    rounds = [{**r, "labels": list(map(change, r["labels"]))} if r["round_index"] >= from_round else r
+              for r in doc["rounds"]]
     return {**_with_rows(doc, change), "rounds": rounds}
+
+
+def _with_negative_value(doc: dict, v: int) -> dict:
+    """``doc`` with vertex v at value -1 in every label list and in the final
+    distances."""
+    distances = list(doc["final_distances"])
+    distances[v - 1] = "-1"
+    return {**_with_vertex_rows(doc, v, value="-1"), "final_distances": distances}
+
+
+def _unreachable_vertex_settles() -> dict:
+    """The tiebatch document of a 3-vertex graph whose vertex 3 is
+    unreachable, with vertex 3 settled at INF in round 1."""
+    doc = _document(run_modified(Graph.from_edges(3, [(1, 2, 1)]), 1))
+    doc = _with_vertex_rows(doc, 3, status="permanent", settled_round=1)
+    return _with_round(doc, 0, newly_permanent=[2, 3])
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_DOCUMENTS))
@@ -512,6 +544,21 @@ def _document(trace: RunTrace) -> dict:
 def test_a_document_no_run_writes_is_malformed_input(paper8, tie4, make, message):
     with pytest.raises(MalformedInput, match=f"^malformed trace: {message}$"):
         trace_from_json(json.dumps(make(paper8, tie4)))
+
+
+@pytest.mark.parametrize("name, message", [
+    ("true_vertex", "label rows must list vertices 1..n in order"),
+    ("float_vertex", "label rows must list vertices 1..n in order"),
+    ("finite_value_without_predecessors", "round 1 gives vertex 2 no finite value or no predecessor"),
+    ("own_predecessor", "round 1 changes vertex 2's predecessors outside its frontier"),
+    ("kept_value_drops_a_predecessor", "round 3 changes vertex 5's predecessors outside its frontier"),
+    ("value_below_its_predecessor", "round 1 gives vertex 2 a predecessor not below its value"),
+    ("unreachable_vertex_settles", "round 1 gives vertex 3 no finite value or no predecessor"),
+])
+def test_a_label_no_relaxation_writes_is_malformed_input(paper8, name, message):
+    doc = _document(run_classic(paper8, 1))
+    with pytest.raises(MalformedInput, match=f"^malformed trace: {message}$"):
+        trace_from_json(json.dumps(MALFORMED_DOCUMENTS[name](doc)))
 
 
 def test_source_not_settled_in_round_zero_is_malformed_input():
