@@ -1,9 +1,10 @@
 """Command-line entry point: trace, path, compare, bench, and oracle.
 
-Graph files ending in ``.edges`` are read as edge lists; anything else is
-read as a weight matrix. Exit codes: 0 success (unsound findings are data,
-not failures), 1 input or validation error, 2 usage error. All default
-output is deterministic: identical invocations produce identical bytes.
+Graph files are UTF-8, with or without a byte-order mark. Those ending in
+``.edges`` are read as edge lists; anything else is read as a weight matrix.
+Exit codes: 0 success (unsound findings are data, not failures), 1 input or
+validation error, 2 usage error. All default output is deterministic:
+identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ STABLE_BATCH_NOTICE = (
 def _load_graph(path_str: str) -> Graph:
     path = Path(path_str)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         # an OSError's strerror omits the errno and path; a decode error has none
         reason = getattr(exc, "strerror", None) or exc

@@ -4,12 +4,12 @@ A graph stores, for each vertex u, its out-edges (v, weight) by ascending v,
 each weight exact and strictly positive. Vertex ids are 1-based everywhere in
 the public API. The matrix view, whose entry (i, j) is the weight of edge
 i -> j, zero on the diagonal and INFINITY where no edge exists, is derived:
-:meth:`Graph.weight` reads one entry in O(1) from per-vertex dicts built on
-first use, and :attr:`Graph.weights` builds the whole matrix only for callers
+:meth:`Graph.weight` reads one entry in O(log out-degree) by bisecting u's
+out-edges, and :attr:`Graph.weights` builds the whole matrix only for callers
 that print it. So an edge list costs O(n + m) to parse and to store, and a
-matrix file O(n²) only because it has n² tokens. :attr:`Graph.scaled_adjacency`
-is the same out-edges with each weight an exact integer, scaled by the lcm of
-the weight denominators, built once per graph for the labeling engine.
+matrix file O(n²) only because it has n² tokens. :attr:`Graph.scaled_weights`
+holds one exact integer per distinct weight, scaled by the lcm of the weight
+denominators, built once per graph for the labeling engine.
 
 Each input form has one checking path. ``Graph(n, adjacency)`` is the
 trusted constructor for code that already holds the invariants (the random
@@ -35,6 +35,7 @@ off-diagonal pairs get INFINITY.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import compress
@@ -84,17 +85,16 @@ class Graph:
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
-    @cached_property
-    def _out(self) -> tuple[dict[int, Weight], ...]:
-        return tuple(map(dict, self.adjacency))
-
     def weight(self, u: int, v: int) -> Weight:
         """Matrix entry (u, v): zero on the diagonal, INFINITY for no edge."""
         check_vertex(self, u)
         check_vertex(self, v)
         if u == v:
             return Weight.zero()
-        return self._out[u - 1].get(v, INFINITY)
+        # The probe (v,) sorts just before (v, w), so no two Weights compare.
+        out = self.adjacency[u - 1]
+        i = bisect_left(out, (v,))
+        return out[i][1] if i < len(out) and out[i][0] == v else INFINITY
 
     @cached_property
     def weights(self) -> tuple[tuple[Weight, ...], ...]:
@@ -103,22 +103,20 @@ class Graph:
         zero = Weight.zero()
         return tuple(
             tuple(zero if u == v else out.get(v, INFINITY) for v in self.vertices())
-            for u, out in enumerate(self._out, start=1)
+            for u, out in enumerate(map(dict, self.adjacency), start=1)
         )
 
     @cached_property
-    def scaled_adjacency(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
-        """``(scale, out)``: ``scale`` is the lcm of the weight denominators,
-        and ``out[u - 1]`` lists u's out-edges as ``(v, weight * scale)``, an
-        exact ``int``, in the order of :attr:`adjacency`."""
-        # Each distinct Weight object is scaled once; ids are stable while
-        # the graph keeps its weights alive.
+    def scaled_weights(self) -> tuple[int, dict[int, int]]:
+        """``(scale, scaled)``: ``scale`` is the lcm of the weight
+        denominators, and ``scaled[id(w)]`` is ``w * scale``, an exact
+        ``int``, for each distinct weight object w in :attr:`adjacency`."""
+        # ids are stable while the graph keeps its weights alive
         weights = {id(w): w for out in self.adjacency for _, w in out}
         scale = lcm(*{w.fraction.denominator for w in weights.values()})
-        scaled = {
+        return scale, {
             key: w.fraction.numerator * (scale // w.fraction.denominator) for key, w in weights.items()
         }
-        return scale, tuple(tuple([(v, scaled[id(w)]) for v, w in out]) for out in self.adjacency)
 
     def edges(self) -> Iterator[tuple[int, int, Weight]]:
         """Every edge as (u, v, weight), by ascending u, then v."""

@@ -12,9 +12,9 @@ permanent. The three selection strategies differ only in the batch:
   settle labels that are not yet optimal, so callers must oracle-check it
   (see the counterexample fixture).
 
-The run engine relaxes only the out-edges of the frontier, read from the
-graph's ``Graph.scaled_adjacency``: every weight times ``scale``, the lcm of
-the weight denominators, as an exact ``int``. It keeps each finite label as
+The run engine relaxes only the out-edges of the frontier, each weight read
+from the graph's ``Graph.scaled_weights``: the weight times ``scale``, the lcm
+of the weight denominators, as an exact ``int``. It keeps each finite label as
 such an integer, relaxes with ``int`` additions and selects in one loop over
 a lazy-deletion heap keyed ``(scaled value, vertex id)``. The loop drops the
 entries left behind by a later improvement or a settle, and stops after the
@@ -326,7 +326,7 @@ def _run(
         check_vertex(g, target)
     initial = LabelState.initial(g.n, source)
     rows = list(initial.rows())
-    scale, adjacency = g.scaled_adjacency
+    scale, scaled = g.scaled_weights
     # Each finite label times ``scale`` (None for INFINITY): heap keys and the
     # operands of relaxation. ``weight_of`` maps each scaled value to the one
     # Weight the rows hold for it in this run.
@@ -351,11 +351,11 @@ def _run(
         extended = set()
         for u in frontier:
             base = exact[u - 1]
-            for v, w in adjacency[u - 1]:
+            for v, w in g.adjacency[u - 1]:
                 row = rows[v - 1]
                 if row[2] is not None:
                     continue
-                candidate = base + w
+                candidate = base + scaled[id(w)]
                 old = exact[v - 1]
                 if old is None or candidate < old:
                     if old is None:

@@ -34,7 +34,7 @@ def bellman_ford(g: Graph, source: int) -> OracleResult:
     Each sweep walks the edges in row-major order, skipping tails not reached
     yet, and a sweep that changes nothing ends the run. Sums are exact
     integers: weights are scaled by the lcm of their denominators. The
-    scaling is done here, not read from ``Graph.scaled_adjacency`` as the
+    scaling is done here, not read from ``Graph.scaled_weights`` as the
     labeling engine does, so that a fault in that view cannot make the
     engine and its oracle agree on a wrong distance.
     """

@@ -200,7 +200,10 @@ def _vertex(n: int, value) -> int:
 
 
 def _vertices(n: int, values: tuple) -> frozenset[int]:
-    return frozenset(_vertex(n, v) for v in values)
+    vertices = frozenset(_vertex(n, v) for v in values)
+    if list(values) != sorted(vertices):
+        raise ValueError(f"vertex list {list(values)} is not strictly ascending")
+    return vertices
 
 
 def _row(weight: Callable, vertex_set: Callable, value, preds: tuple, settled):
@@ -269,16 +272,18 @@ def trace_from_json(text: str) -> RunTrace:
 
     Raises MalformedInput when ``text`` is not JSON, lacks a key, holds a
     value of the wrong type, an unknown strategy or status, an out-of-range
-    vertex, or label lists whose lengths differ, or when a field it derives
-    disagrees with the document: the algorithm, either round count, the
-    final distances, a status given its settled_round, a round record or
-    the labels it changes given the final settled rounds, or the final
-    labels given the last round's. A round may not change a permanent label
-    or raise a value, and settles at least one vertex (one under singlemin).
-    A changed label is finite. A lowered one takes a non-empty subset of
-    the round's frontier as predecessors, a kept one keeps its predecessors
-    and adds only frontier vertices, and each predecessor's value is lower.
-    ``terminated_early`` must agree with the target and the temporary labels.
+    vertex, a vertex list (a frontier, batch or predecessor set) that is not
+    strictly ascending, or label lists whose lengths differ, or when a field
+    it derives disagrees with the document: the algorithm, either round
+    count, the final distances, a status given its settled_round, a round
+    record or the labels it changes given the final settled rounds, or the
+    final labels given the last round's. A round may not change a permanent
+    label or raise a value, and settles at least one vertex (one under
+    singlemin). A changed label is finite. A lowered one takes a non-empty
+    subset of the round's frontier as predecessors, a kept one keeps its
+    predecessors and adds only frontier vertices, and each predecessor's
+    value is lower. ``terminated_early`` must agree with the target and the
+    temporary labels.
     """
     try:
         data = json.loads(text)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import VertexOutOfRange
+from .errors import MalformedInput, VertexOutOfRange
 from .graph import Graph
 from .labeling import RunTrace
 from .weights import INFINITY, Weight
@@ -56,7 +56,10 @@ def build_tree_matrix(g: Graph, trace: RunTrace) -> TreeMatrix:
 
     The parent is the lowest id in the vertex's final predecessor set.
     Unsettled vertices get no parent, so a route to one is "no path".
+    Raises MalformedInput unless the trace has the graph's n vertices.
     """
+    if trace.final_labels.n != g.n:
+        raise MalformedInput(f"the trace has {trace.final_labels.n} vertices, the graph {g.n}")
     parents: list[int | None] = [None] * g.n
     weights: list[Weight | None] = [None] * g.n
     for j, (_, preds, settled) in enumerate(trace.final_labels.rows(), start=1):
@@ -68,7 +71,8 @@ def build_tree_matrix(g: Graph, trace: RunTrace) -> TreeMatrix:
 
 
 def extract_path(t: TreeMatrix, target: int) -> Route:
-    """Walk parent links from target back to the source and sum the edges."""
+    """Walk parent links from target back to the source and sum the edges.
+    Raises MalformedInput when the links from target loop."""
     if not (1 <= target <= t.n):
         raise VertexOutOfRange(f"vertex {target} outside 1..{t.n}")
     chain = [target]
@@ -78,7 +82,7 @@ def extract_path(t: TreeMatrix, target: int) -> Route:
         if parent is None:
             return Route((), INFINITY)
         if len(chain) > t.n:
-            raise ValueError("parent links do not form a tree")
+            raise MalformedInput("parent links do not form a tree")
         chain.append(parent)
         current = parent
     chain.reverse()

@@ -350,6 +350,16 @@ class TestGraphFileBytes:
         assert result.stderr.startswith(f"error: cannot read {bad}: 'utf-8' codec")
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("name", ["paper8.mat", "tie4.edges"])
+    @pytest.mark.parametrize("command", list(FILE_COMMANDS))
+    def test_a_byte_order_mark_is_ignored(self, runner, tmp_path, name, command):
+        marked = tmp_path / name
+        marked.write_bytes(b"\xef\xbb\xbf" + fixture_path(name).read_bytes())
+        plain = runner.invoke(main, [command, str(fixture_path(name)), *FILE_COMMANDS[command]])
+        result = runner.invoke(main, [command, str(marked), *FILE_COMMANDS[command]])
+        assert (result.exit_code, result.stdout, result.stderr) == (0, plain.stdout, plain.stderr)
+        assert plain.exit_code == 0
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.binary(max_size=256))
     def test_arbitrary_bytes_exit_cleanly(self, data):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -13,6 +15,7 @@ from pathlab import (
     DiagonalNonZero,
     DuplicateEdge,
     Graph,
+    GraphSpec,
     GraphTooLarge,
     INFINITY,
     MalformedInput,
@@ -20,8 +23,12 @@ from pathlab import (
     SelfLoop,
     VertexOutOfRange,
     Weight,
+    build_tree_matrix,
+    extract_path,
+    generate_graph,
     parse_edge_list,
     parse_matrix_text,
+    run_classic,
     to_matrix_text,
 )
 from pathlab.graph import MAX_EDGES, MAX_SPARSE_VERTICES, MAX_VERTICES
@@ -380,15 +387,30 @@ def test_adjacency_lists_the_finite_off_diagonal_entries(g):
 
 
 @given(graphs(max_n=8, weights=exact_weights))
-def test_scaled_adjacency_is_the_adjacency_times_the_lcm(g):
-    scale, out = g.scaled_adjacency
+def test_scaled_weights_are_the_weights_times_the_lcm(g):
+    scale, scaled = g.scaled_weights
     assert scale == lcm(*(w.fraction.denominator for _, _, w in g.edges()))
-    assert len(out) == g.n
-    for scaled, edges in zip(out, g.adjacency):
-        assert [v for v, _ in scaled] == [v for v, _ in edges]
-        for (_, c), (_, w) in zip(scaled, edges):
-            assert type(c) is int
-            assert Fraction(c, scale) == w.fraction
+    assert set(scaled) == {id(w) for _, _, w in g.edges()}
+    for _, _, w in g.edges():
+        assert type(scaled[id(w)]) is int
+        assert Fraction(scaled[id(w)], scale) == w.fraction
+
+
+def test_a_graph_keeps_no_copy_of_its_edges_after_a_run():
+    # 300 dense vertices, about 90,000 edges sharing nine Weights
+    g = generate_graph(GraphSpec(300, 1.0, 1, 9, 0.0, 1), 0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = run_classic(g, 1)
+        extract_path(build_tree_matrix(g, trace), 300)
+        del trace
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 64 * 1024
 
 
 @given(matrices(), st.data())

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -399,6 +400,19 @@ MALFORMED_DOCUMENTS = {
     ),
     "value_below_its_predecessor": lambda doc: _with_negative_value(doc, 2),
     "unreachable_vertex_settles": lambda doc: _unreachable_vertex_settles(),
+    # a round's row that settles its vertex in a later round
+    "row_settles_in_a_later_round": lambda doc: _with_round_row(
+        doc, 0, 3, status="permanent", settled_round=2
+    ),
+    # vertex lists a run writes only strictly ascending: a repeated or
+    # unsorted predecessor set, batch or frontier
+    "repeated_predecessor": lambda doc: _with_vertex_rows(doc, 2, predecessors=[1, 1]),
+    "unsorted_predecessors": lambda doc: _with_vertex_rows(
+        doc, 3, from_round=2, predecessors=[2, 1]
+    ),
+    "unsorted_newly_permanent": lambda doc: _with_round(doc, 3, newly_permanent=[6, 4]),
+    "unsorted_frontier": lambda doc: _with_round(doc, 4, frontier=[6, 4]),
+    "repeated_frontier": lambda doc: _with_round(doc, 4, frontier=[4, 6, 6]),
 }
 
 ROUND_CONTRADICTIONS = [
@@ -554,11 +568,26 @@ def test_a_document_no_run_writes_is_malformed_input(paper8, tie4, make, message
     ("kept_value_drops_a_predecessor", "round 3 changes vertex 5's predecessors outside its frontier"),
     ("value_below_its_predecessor", "round 1 gives vertex 2 a predecessor not below its value"),
     ("unreachable_vertex_settles", "round 1 gives vertex 3 no finite value or no predecessor"),
+    ("row_settles_in_a_later_round", "round 1's settled rounds disagree with the final ones"),
 ])
 def test_a_label_no_relaxation_writes_is_malformed_input(paper8, name, message):
     doc = _document(run_classic(paper8, 1))
     with pytest.raises(MalformedInput, match=f"^malformed trace: {message}$"):
         trace_from_json(json.dumps(MALFORMED_DOCUMENTS[name](doc)))
+
+
+@pytest.mark.parametrize("name, vertices", [
+    ("repeated_predecessor", [1, 1]),
+    ("unsorted_predecessors", [2, 1]),
+    ("unsorted_newly_permanent", [6, 4]),
+    ("unsorted_frontier", [6, 4]),
+    ("repeated_frontier", [4, 6, 6]),
+])
+def test_a_vertex_list_no_run_writes_is_malformed_input(paper8, name, vertices):
+    text = json.dumps(MALFORMED_DOCUMENTS[name](_paper8_document(paper8)))
+    message = re.escape(f"malformed trace: vertex list {vertices} is not strictly ascending")
+    with pytest.raises(MalformedInput, match=f"^{message}$"):
+        trace_from_json(text)
 
 
 def test_source_not_settled_in_round_zero_is_malformed_input():

@@ -8,7 +8,9 @@ from pathlab import (
     Graph,
     GraphTooLarge,
     INFINITY,
+    MalformedInput,
     Strategy,
+    TreeMatrix,
     VertexOutOfRange,
     Weight,
     build_tree_matrix,
@@ -135,3 +137,16 @@ def test_trees_above_the_dense_cap_route_but_do_not_render():
     assert parents == {n: (1, Weight.finite(2)), 2: (n, Weight.finite(3))}
     with pytest.raises(GraphTooLarge, match=f"limit of {MAX_VERTICES}$"):
         render_tree_matrix(tree)
+
+
+@pytest.mark.parametrize("n", [3, 9])
+def test_a_trace_of_another_vertex_count_is_malformed_input(paper8, n):
+    trace = run_classic(paper8, 1)
+    with pytest.raises(MalformedInput, match=f"^the trace has 8 vertices, the graph {n}$"):
+        build_tree_matrix(Graph.from_edges(n, [(1, 2, 1)]), trace)
+
+
+def test_parent_links_that_loop_are_malformed_input():
+    w = Weight.finite(1)
+    with pytest.raises(MalformedInput, match="^parent links do not form a tree$"):
+        extract_path(TreeMatrix(3, 1, (None, 3, 2), (None, w, w)), 2)
