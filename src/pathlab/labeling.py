@@ -141,16 +141,15 @@ class RoundRecord:
     ``changes`` holds ``(vertex, row)`` for every vertex whose row differs
     from the one before the round (the initial labels before round 1), by
     ascending vertex, with the new row. Records compare by their four public
-    fields; the run's initial labels and the previous record are kept only
-    to rebuild :attr:`label_snapshot` as a plain ``LabelState``.
+    fields; the previous record, or the run's initial labels for round 1, is
+    kept only to rebuild :attr:`label_snapshot` as a plain ``LabelState``.
     """
 
     round_index: int
     frontier: frozenset[int]
     changes: tuple[tuple[int, _Row], ...]
     newly_permanent: frozenset[int]
-    _initial: LabelState = field(compare=False, repr=False)
-    _previous: RoundRecord | None = field(compare=False, repr=False)
+    _previous: RoundRecord | LabelState = field(compare=False, repr=False)
 
     @property
     def label_snapshot(self) -> LabelState:
@@ -160,10 +159,10 @@ class RoundRecord:
         iteratively, so a run of any length replays without recursion."""
         history = []
         record = self
-        while record is not None:
+        while isinstance(record, RoundRecord):
             history.append(record.changes)
             record = record._previous
-        rows = list(self._initial.rows())
+        rows = list(record.rows())
         for changes in reversed(history):
             for v, row in changes:
                 rows[v - 1] = row
@@ -338,7 +337,7 @@ def _run(
     batching = strategy is not Strategy.SINGLE_MIN
     unsettled = g.n - 1
     rounds: list[RoundRecord] = []
-    record: RoundRecord | None = None
+    record: RoundRecord | LabelState = initial
     frontier: frozenset[int] = frozenset({source})
     terminated_early = False
     while unsettled:
@@ -390,7 +389,7 @@ def _run(
         unsettled -= len(newly)
         changes = tuple([(v, rows[v - 1]) for v in sorted(changed.union(extended, newly))])
         newly = frozenset(newly)
-        record = RoundRecord(round_index, frontier, changes, newly, initial, record)
+        record = RoundRecord(round_index, frontier, changes, newly, record)
         rounds.append(record)
         frontier = newly
     return RunTrace(

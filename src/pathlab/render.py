@@ -15,11 +15,13 @@ before writing the list out. Formatting work is therefore proportional to n
 plus the number of label changes, and the remaining work is joins
 proportional to the output bytes. :func:`trace_from_json` decodes with the C
 JSON parser and, within one call, builds each distinct row and parses each
-distinct weight string and vertex list once; it turns each round's labels
-into changes by a C-speed comparison with the round before, and checks every
-field the document repeats (algorithm, round counts, final distances,
-statuses, each round's changes and the final labels) against the one it is
-derived from, in O(changes) beyond the decoding.
+distinct weight string and vertex list once. It walks the rounds once: each
+round's labels become its changes by a C-speed comparison with the round
+before, and those changes are checked against the rows the walk holds as
+they are read. With the fields the document repeats (algorithm, round
+counts, final distances, statuses and the final labels), checked against
+the ones they derive from, a load costs O(n + rounds + changes) beyond the
+decoding and those comparisons.
 """
 
 from __future__ import annotations
@@ -207,24 +209,30 @@ def _vertices(n: int, values: tuple) -> frozenset[int]:
 
 
 def _row(weight: Callable, vertex_set: Callable, value, preds: tuple, settled):
-    return weight(value), vertex_set(preds), settled
+    return weight(_typed(value, str)), vertex_set(preds), settled
 
 
 class _TraceLoader:
-    """Builds one RunTrace from decoded JSON. Each distinct row, weight
-    string and vertex list is built once per load, and equal ones share one
-    object. Rounds are loaded in order, each as its changes from the one
-    before, as the engine records them."""
+    """Builds one RunTrace from decoded JSON in one walk over its rounds.
 
-    def __init__(self, n: int, source: int):
+    Each distinct row, weight string and vertex list is built once per load,
+    and equal ones share one object. Each round is turned into its changes
+    from the rows of the round before, as the engine records them, and is
+    checked against those rows before the next round is read.
+    """
+
+    def __init__(self, n: int, source: int, strategy: Strategy):
         self.n = n
+        self.single_min = strategy is Strategy.SINGLE_MIN
         self.weight = cache(Weight.from_str)
         self.vertex_set = cache(partial(_vertices, n))
         self.row = cache(partial(_row, self.weight, self.vertex_set))
         self.vertex_ids = tuple(range(1, n + 1))
-        self.initial = LabelState.initial(n, source)
-        self.last_rows = self.initial.rows()
-        self.last_record: RoundRecord | None = None
+        initial = LabelState.initial(n, source)
+        self.last_rows = initial.rows()
+        self.last: RoundRecord | LabelState = initial
+        self.batch = frozenset({source})
+        self.rounds_read = 0
 
     def vertices(self, items: list) -> frozenset[int]:
         # Types are checked before the cache is asked: (True,) and (1.0,)
@@ -251,39 +259,85 @@ class _TraceLoader:
         return list(map(self.row, value, map(tuple, preds), settled))
 
     def round(self, item: dict) -> RoundRecord:
+        """Round k's record. Raises ValueError unless its index is k, it
+        relaxes from round k - 1's batch, each row it changes is one a
+        relaxation or settle writes given the rows before it, and it settles,
+        at round k, exactly its newly_permanent: at least one vertex, and
+        one under SINGLE_MIN."""
+        k = self.rounds_read = self.rounds_read + 1
         round_index = _typed(item["round_index"], int)
         frontier = self.vertices(item["frontier"])
         rows = self.rows(item["labels"])
-        changed = compress(self.vertex_ids, map(ne, rows, self.last_rows))
-        record = RoundRecord(
-            round_index,
-            frontier,
-            tuple([(v, rows[v - 1]) for v in changed]),
-            self.vertices(item["newly_permanent"]),
-            self.initial,
-            self.last_record,
-        )
-        self.last_rows, self.last_record = rows, record
+        newly_permanent = self.vertices(item["newly_permanent"])
+        if round_index != k or frontier != self.batch:
+            raise ValueError("a round record disagrees with its position or the final settled rounds")
+        last = self.last_rows
+        changes = []
+        for v in compress(self.vertex_ids, map(ne, rows, last)):
+            row = rows[v - 1]
+            value, preds, _ = row
+            old_value, old_preds, old_settled = last[v - 1]
+            if old_settled is not None:
+                raise ValueError(f"round {k} changes vertex {v}'s permanent label")
+            # Equal value strings load as one Weight, so identity settles
+            # most equalities; "1" and "1.0" still need ==.
+            if value is not old_value and value < old_value:
+                kept = frozenset()
+            elif value is old_value or value == old_value:
+                kept = old_preds
+            else:
+                raise ValueError(f"round {k} raises vertex {v}'s value")
+            if not (value.is_finite and preds):
+                raise ValueError(f"round {k} gives vertex {v} no finite value or no predecessor")
+            added = preds - kept
+            if not (kept <= preds and added <= frontier):
+                raise ValueError(f"round {k} changes vertex {v}'s predecessors outside its frontier")
+            if any(not last[u - 1][0] < value for u in added):
+                raise ValueError(f"round {k} gives vertex {v} a predecessor not below its value")
+            changes.append((v, row))
+        settled = [(v, row[2]) for v, row in changes if row[2] is not None]
+        if settled != [(v, k) for v in sorted(newly_permanent)]:
+            raise ValueError(f"round {k}'s settled rounds disagree with the final ones")
+        if not newly_permanent:
+            raise ValueError(f"round {k} settles nothing")
+        if self.single_min and len(newly_permanent) > 1:
+            raise ValueError("a singlemin round settles more than one vertex")
+        record = RoundRecord(k, frontier, tuple(changes), newly_permanent, self.last)
+        self.last_rows, self.last, self.batch = rows, record, newly_permanent
         return record
+
+    def check_end(self, trace: RunTrace) -> None:
+        """Raise ValueError unless only the source settles in round 0, the
+        final labels are the last round's, and terminated_early holds exactly
+        when the target settles in the last batch with some label left
+        temporary, and otherwise no temporary label is finite."""
+        final = trace.final_labels.rows()
+        if [v for v, (_, _, r) in enumerate(final, start=1) if r == 0] != [trace.source]:
+            raise ValueError("only the source settles in round 0")
+        if final != tuple(self.last_rows):
+            raise ValueError("final_labels are not the labels of the last round")
+        temporary = [value for value, _, r in final if r is None]
+        if trace.terminated_early and not (temporary and trace.target in self.batch):
+            raise ValueError("terminated_early, but the run does not stop when its target settles")
+        if not trace.terminated_early and any(value.is_finite for value in temporary):
+            raise ValueError("not terminated_early, but a temporary label is finite")
 
 
 def trace_from_json(text: str) -> RunTrace:
-    """Inverse of :func:`trace_to_json`.
+    """Inverse of :func:`trace_to_json`, in one walk over the rounds.
 
-    Raises MalformedInput when ``text`` is not JSON, lacks a key, holds a
-    value of the wrong type, an unknown strategy or status, an out-of-range
-    vertex, a vertex list (a frontier, batch or predecessor set) that is not
-    strictly ascending, or label lists whose lengths differ, or when a field
-    it derives disagrees with the document: the algorithm, either round
-    count, the final distances, a status given its settled_round, a round
-    record or the labels it changes given the final settled rounds, or the
-    final labels given the last round's. A round may not change a permanent
-    label or raise a value, and settles at least one vertex (one under
-    singlemin). A changed label is finite. A lowered one takes a non-empty
-    subset of the round's frontier as predecessors, a kept one keeps its
-    predecessors and adds only frontier vertices, and each predecessor's
-    value is lower. ``terminated_early`` must agree with the target and the
-    temporary labels.
+    Raises MalformedInput for any document no run writes: when ``text`` is
+    not JSON, lacks a key, holds a value of the wrong type, an unknown
+    strategy or status, an out-of-range vertex, a vertex list (a frontier,
+    batch or predecessor set) that is not strictly ascending, or label lists
+    whose lengths differ; when a round breaks a rule of
+    ``_TraceLoader.round``, checked as it is read, so the first faulty round
+    is reported; or when a field it derives disagrees with the document: the
+    algorithm, either round count, the final distances, a status given its
+    settled_round, or the final labels given the last round's. Only the
+    source settles in round 0, and ``terminated_early`` must agree with the
+    target and the temporary labels. O(n + rounds + changes) beyond the
+    decoding and one comparison of each round's labels with the last.
     """
     try:
         data = json.loads(text)
@@ -297,7 +351,7 @@ def trace_from_json(text: str) -> RunTrace:
             raise ValueError(f"final_distances has {len(final_distances)} entries, expected {n}")
         strategy = Strategy(data["strategy"])
         source = _vertex(n, data["source"])
-        load = _TraceLoader(n, source)
+        load = _TraceLoader(n, source, strategy)
         trace = RunTrace(
             strategy=strategy,
             source=source,
@@ -314,71 +368,12 @@ def trace_from_json(text: str) -> RunTrace:
             raise ValueError("rounds_count_incl_source is not rounds_count + 1")
         if tuple(map(load.weight, final_distances)) != trace.final_distances:
             raise ValueError("final_distances disagree with the final_labels values")
-        _check_rounds(trace)
+        load.check_end(trace)
         return trace
     except KeyError as exc:
         raise MalformedInput(f"malformed trace: missing key {exc}") from None
     except (TypeError, ValueError, RecursionError) as exc:
         raise MalformedInput(f"malformed trace: {exc}") from None
-
-
-def _check_rounds(trace: RunTrace) -> None:
-    """Raise ValueError unless round 0 settles the source alone; every round
-    settles at least one vertex, and exactly one under SINGLE_MIN; round k
-    has index k, relaxes from round k - 1's batch and settles, among the
-    labels it changes, exactly the vertices whose final settled_round is k;
-    no round changes a permanent label or raises a value; every change holds
-    a finite value and at least one predecessor, replaces the predecessors
-    when the value drops and keeps them when it stays, and adds only
-    frontier vertices, each of a lower value; the final labels are
-    the initial ones with every round's changes applied; and
-    terminated_early holds exactly when the target settles in the last round
-    (round 0 when there are none) with some label left temporary, and
-    otherwise no temporary label is finite. O(n + rounds + changes)."""
-    final = trace.final_labels
-    batches: list[list[int]] = [[] for _ in range(len(trace.rounds) + 1)]
-    for v, (_, _, r) in enumerate(final.rows(), start=1):
-        if r is not None:
-            if not 0 <= r < len(batches):
-                raise ValueError(f"vertex {v} settles in round {r}, which is not listed")
-            batches[r].append(v)
-    if batches[0] != [trace.source]:
-        raise ValueError("only the source settles in round 0")
-    if [] in batches:
-        raise ValueError(f"round {batches.index([])} settles nothing")
-    if trace.strategy is Strategy.SINGLE_MIN and max(map(len, batches)) > 1:
-        raise ValueError("a singlemin round settles more than one vertex")
-    sets = list(map(frozenset, batches))
-    rows = list(LabelState.initial(final.n, trace.source).rows())
-    for k, record in enumerate(trace.rounds, start=1):
-        if (record.round_index, record.frontier, record.newly_permanent) != (k, sets[k - 1], sets[k]):
-            raise ValueError("a round record disagrees with its position or the final settled rounds")
-        for v, row in record.changes:
-            value, preds, _ = row
-            old_value, old_preds, old_settled = rows[v - 1]
-            if old_settled is not None:
-                raise ValueError(f"round {k} changes vertex {v}'s permanent label")
-            if old_value < value:
-                raise ValueError(f"round {k} raises vertex {v}'s value")
-            if not (value.is_finite and preds):
-                raise ValueError(f"round {k} gives vertex {v} no finite value or no predecessor")
-            kept = old_preds if value == old_value else frozenset()
-            added = preds - kept
-            if not (kept <= preds and added <= record.frontier):
-                raise ValueError(f"round {k} changes vertex {v}'s predecessors outside its frontier")
-            if any(not rows[u - 1][0] < value for u in added):
-                raise ValueError(f"round {k} gives vertex {v} a predecessor not below its value")
-            rows[v - 1] = row
-        settled = [(v, row[2]) for v, row in record.changes if row[2] is not None]
-        if settled != [(v, k) for v in batches[k]]:
-            raise ValueError(f"round {k}'s settled rounds disagree with the final ones")
-    if final != LabelState(rows):
-        raise ValueError("final_labels are not the labels of the last round")
-    temporary = [value for value, _, r in rows if r is None]
-    if trace.terminated_early and not (temporary and trace.target in batches[-1]):
-        raise ValueError("terminated_early, but the run does not stop when its target settles")
-    if not trace.terminated_early and any(value.is_finite for value in temporary):
-        raise ValueError("not terminated_early, but a temporary label is finite")
 
 
 def render_tree_matrix(t: TreeMatrix) -> str:

@@ -491,10 +491,84 @@ def _unreachable_vertex_settles() -> dict:
     return _with_round(doc, 0, newly_permanent=[2, 3])
 
 
+# The exact message of each malformed document, after "malformed trace: ".
+MALFORMED_MESSAGES = {
+    "algorithm_of_another_strategy": "algorithm 'classic' is not that of stablebatch",
+    "bool_source": "expected int, got True",
+    "empty_final_labels": "final_labels is empty",
+    "exponent_value": "not a weight string: '1e5'",
+    "final_distances_disagree": "final_distances disagree with the final_labels values",
+    "final_labels_not_last_snapshot": "final_labels are not the labels of the last round",
+    "finite_temporary_label_without_early_stop":
+        "not terminated_early, but a temporary label is finite",
+    "finite_value_without_predecessors":
+        "round 1 gives vertex 2 no finite value or no predecessor",
+    "first_frontier_not_source":
+        "a round record disagrees with its position or the final settled rounds",
+    "float_frontier": "vertices must be integers",
+    "float_predecessor": "predecessors must be integers",
+    "float_rounds_count": "expected int, got 5.0",
+    "float_vertex": "label rows must list vertices 1..n in order",
+    "frontier_not_previous_batch":
+        "a round record disagrees with its position or the final settled rounds",
+    "int_terminated_early": "expected bool, got 0",
+    "kept_value_drops_a_predecessor":
+        "round 3 changes vertex 5's predecessors outside its frontier",
+    "list_document": "list indices must be integers or slices, not str",
+    "missing_row_key": "missing key 'status'",
+    "missing_top_key": "missing key 'rounds'",
+    "newly_permanent_not_final_round": "round 2's settled rounds disagree with the final ones",
+    "no_rounds_but_final_labels_reached": "final_labels are not the labels of the last round",
+    "numeric_value": "expected str, got 3",
+    "own_predecessor": "round 1 changes vertex 2's predecessors outside its frontier",
+    "permanent_label_changes": "round 3 changes vertex 1's permanent label",
+    "permanent_predecessors_change": "round 3 changes vertex 2's permanent label",
+    "permanent_without_settled_round": "a status is unknown or disagrees with its settled_round",
+    "predecessor_out_of_range": "vertex 0 outside 1..8",
+    "repeated_frontier": "vertex list [4, 6, 6] is not strictly ascending",
+    "repeated_predecessor": "vertex list [1, 1] is not strictly ascending",
+    "round_index_not_position":
+        "a round record disagrees with its position or the final settled rounds",
+    "round_settles_nothing": "round 3 settles nothing",
+    "row_settles_in_a_later_round": "round 1's settled rounds disagree with the final ones",
+    "settled_round_not_listed": "final_labels are not the labels of the last round",
+    "short_final_distances": "final_distances has 7 entries, expected 8",
+    "short_round_labels": "a label list has 7 rows, expected 8",
+    "singlemin_round_settles_two": "a singlemin round settles more than one vertex",
+    "snapshot_settles_early": "round 1 gives vertex 8 no finite value or no predecessor",
+    "source_out_of_range": "vertex 9 outside 1..8",
+    "string_predecessors": "predecessors must be lists",
+    "string_rounds": "expected list, got 'none'",
+    "string_settled_round": "settled_round must be an integer or null",
+    "terminated_early_before_target_settles":
+        "terminated_early, but the run does not stop when its target settles",
+    "terminated_early_with_every_label_permanent":
+        "terminated_early, but the run does not stop when its target settles",
+    "terminated_early_without_target":
+        "terminated_early, but the run does not stop when its target settles",
+    "true_predecessor": "predecessors must be integers",
+    "true_vertex": "label rows must list vertices 1..n in order",
+    "unknown_algorithm": "algorithm 'astar' is not that of stablebatch",
+    "unknown_status": "a status is unknown or disagrees with its settled_round",
+    "unknown_strategy": "'greedy' is not a valid Strategy",
+    "unreachable_vertex_settles": "round 1 gives vertex 3 no finite value or no predecessor",
+    "unsorted_frontier": "vertex list [6, 4] is not strictly ascending",
+    "unsorted_newly_permanent": "vertex list [6, 4] is not strictly ascending",
+    "unsorted_predecessors": "vertex list [2, 1] is not strictly ascending",
+    "value_below_its_predecessor": "round 1 gives vertex 2 a predecessor not below its value",
+    "value_rises": "round 3 raises vertex 4's value",
+    "vertices_out_of_order": "label rows must list vertices 1..n in order",
+    "wrong_rounds_count": "rounds_count is not the 5 rounds listed",
+    "wrong_rounds_count_incl_source": "rounds_count_incl_source is not rounds_count + 1",
+    "zero_denominator": "not a weight string: '1/0'",
+}
+
+
 @pytest.mark.parametrize("name", sorted(MALFORMED_DOCUMENTS))
 def test_malformed_trace_document_is_malformed_input(paper8, name):
     text = json.dumps(MALFORMED_DOCUMENTS[name](_paper8_document(paper8)))
-    with pytest.raises(MalformedInput):
+    message = re.escape(f"malformed trace: {MALFORMED_MESSAGES[name]}")
+    with pytest.raises(MalformedInput, match=f"^{message}$"):
         trace_from_json(text)
 
 
@@ -520,6 +594,26 @@ def test_a_round_that_changes_a_settled_label_or_raises_a_value_is_malformed_inp
 
 def _document(trace: RunTrace) -> dict:
     return json.loads(trace_to_json(trace))
+
+
+def test_a_kept_value_written_another_way_loads(paper8):
+    # "4" and "4.0" load as two equal Weights, not one shared object, so the
+    # round that settles vertex 4 at the value it kept compares them by ==
+    trace = run_classic(paper8, 1)
+    assert trace.final_labels.value(4) == Weight.finite(4)
+    doc = _with_vertex_rows(
+        _document(trace), 4, from_round=trace.final_labels.settled_round(4), value="4.0"
+    )
+    assert trace_from_json(json.dumps(doc)) == trace
+
+
+def test_the_first_faulty_round_is_reported(paper8):
+    # round 3 raises vertex 4's value and round 5's labels are a row short:
+    # rounds are checked as they are read, so round 3's fault is the one
+    doc = MALFORMED_DOCUMENTS["value_rises"](_document(run_classic(paper8, 1)))
+    doc = _with_round(doc, 4, labels=doc["rounds"][4]["labels"][:-1])
+    with pytest.raises(MalformedInput, match="^malformed trace: round 3 raises vertex 4's value$"):
+        trace_from_json(json.dumps(doc))
 
 
 @pytest.mark.parametrize("make, message", [
