@@ -17,7 +17,7 @@ import hashlib
 import json
 import random
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .graph import MAX_EDGES, MAX_VERTICES, Graph
@@ -267,55 +267,90 @@ def report_to_csv(report: RunReport) -> str:
 
 
 def report_to_json(report: RunReport, include_timings: bool = False) -> str:
-    """Hierarchical format with full per-record content.
+    """The report as ``json.dumps(document, indent=2) + "\\n"``.
 
-    Wall-clock timings are omitted by default so that repeated runs with the
-    same seeds serialize byte-identically.
+    The document has the keys written below, in that order: the config, with
+    each spec as its fields; one object per record, with each strategy's
+    result under its value; the aggregates per strategy; and the unsound
+    count. Weights and fractions are exact strings. Wall-clock timings are
+    omitted by default so that repeated runs with the same seeds serialize
+    byte-identically.
     """
-    def result_dict(result: StrategyResult) -> dict:
-        d = {
-            "distances": [str(w) for w in result.final_distances],
-            "rounds": result.rounds_count,
-            "rounds_incl_source": result.rounds_count_incl_source,
-            "agrees_oracle": result.agrees_oracle,
-        }
-        if include_timings:
-            d["elapsed_seconds"] = result.elapsed_seconds
-        return d
+    specs = [
+        "      "
+        + _json_block(
+            [f'        "{f.name}": {json.dumps(getattr(s, f.name))}' for f in fields(s)], 3, "{}"
+        )
+        for s in report.specs
+    ]
+    records = [_json_record(record, include_timings) for record in report.records]
+    aggregates = [
+        f'    "{strategy.value}": {{\n'
+        f'      "mean_rounds": "{agg.mean_rounds}",\n'
+        f'      "min_rounds": {agg.min_rounds},\n'
+        f'      "max_rounds": {agg.max_rounds},\n'
+        f'      "agreement_rate": "{agg.agreement_rate}"\n'
+        "    }"
+        for strategy, agg in report.aggregates.items()
+    ]
+    return (
+        "{\n"
+        '  "config": {\n'
+        f'    "specs": {_json_block(specs, 2)},\n'
+        f'    "graphs_per_spec": {report.graphs_per_spec},\n'
+        f'    "source": {report.source},\n'
+        f'    "target": {json.dumps(report.target)}\n'
+        "  },\n"
+        f'  "records": {_json_block(records, 1)},\n'
+        f'  "aggregates": {_json_block(aggregates, 1, "{}")},\n'
+        f'  "stable_batch_unsound_count": {report.stable_batch_unsound_count}\n'
+        "}\n"
+    )
 
-    payload = {
-        "config": {
-            "specs": [asdict(s) for s in report.specs],
-            "graphs_per_spec": report.graphs_per_spec,
-            "source": report.source,
-            "target": report.target,
-        },
-        "records": [
-            {
-                "spec_index": r.spec_index,
-                "graph_index": r.graph_index,
-                "source": r.source,
-                "target": r.target,
-                "oracle_distances": [str(w) for w in r.oracle_distances],
-                "strategies": {
-                    res.strategy.value: result_dict(res) for res in r.results
-                },
-                "stable_batch_unsound": r.stable_batch_unsound,
-            }
-            for r in report.records
-        ],
-        "aggregates": {
-            strategy.value: {
-                "mean_rounds": str(agg.mean_rounds),
-                "min_rounds": agg.min_rounds,
-                "max_rounds": agg.max_rounds,
-                "agreement_rate": str(agg.agreement_rate),
-            }
-            for strategy, agg in report.aggregates.items()
-        },
-        "stable_batch_unsound_count": report.stable_batch_unsound_count,
-    }
-    return json.dumps(payload, indent=2) + "\n"
+
+def _json_record(record: ComparisonRecord, include_timings: bool) -> str:
+    # One element of the document's "records" array, nested two levels deep.
+    # No string in it needs escaping: str(Weight) and the strategy values are
+    # ASCII digits, letters and "./-".
+    results = [
+        f'        "{result.strategy.value}": {{\n'
+        f'          "distances": {_json_strings(result.final_distances, 5)},\n'
+        f'          "rounds": {result.rounds_count},\n'
+        f'          "rounds_incl_source": {result.rounds_count_incl_source},\n'
+        f'          "agrees_oracle": {_bool_str(result.agrees_oracle)}'
+        + (
+            f',\n          "elapsed_seconds": {json.dumps(result.elapsed_seconds)}'
+            if include_timings
+            else ""
+        )
+        + "\n        }"
+        for result in record.results
+    ]
+    return (
+        "    {\n"
+        f'      "spec_index": {json.dumps(record.spec_index)},\n'
+        f'      "graph_index": {json.dumps(record.graph_index)},\n'
+        f'      "source": {record.source},\n'
+        f'      "target": {json.dumps(record.target)},\n'
+        f'      "oracle_distances": {_json_strings(record.oracle_distances, 3)},\n'
+        f'      "strategies": {_json_block(results, 3, "{}")},\n'
+        f'      "stable_batch_unsound": {_bool_str(record.stable_batch_unsound)}\n'
+        "    }"
+    )
+
+
+def _json_strings(weights: tuple[Weight, ...], depth: int) -> str:
+    pad = "  " * (depth + 1)
+    return _json_block([f'{pad}"{w}"' for w in weights], depth)
+
+
+def _json_block(items: list[str], depth: int, brackets: str = "[]") -> str:
+    """A JSON array, or with ``brackets="{}"`` an object, in indent-2 layout,
+    for a value nested ``depth`` levels deep. Each item is already encoded,
+    with its key for an object, and indented to ``depth + 1``."""
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n" + ",\n".join(items) + "\n" + "  " * depth + brackets[1]
 
 
 def _index_str(value: int | None) -> str:

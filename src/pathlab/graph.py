@@ -31,6 +31,10 @@ exponents, fraction bars, underscores and non-ASCII digits are malformed.
 Edge list: optional ``#`` comment lines, a header line ``n m``, then m lines
 ``u v w`` with 1-based endpoints and a positive decimal literal weight. Unlisted
 off-diagonal pairs get INFINITY.
+
+Counts (the matrix's n, the edge list's n and m) and endpoints are ASCII
+integers, ``[+-]?[0-9]+``: underscores and non-ASCII digits are malformed
+there too.
 """
 
 from __future__ import annotations
@@ -187,7 +191,7 @@ def parse_matrix_text(text: str) -> Graph:
     if not tokens:
         raise MalformedInput("empty matrix input")
     try:
-        n = int(tokens[0])
+        n = _ascii_int(tokens[0])
     except ValueError:
         raise MalformedInput(f"vertex count is not an integer: {tokens[0]!r}") from None
     if n < 1:
@@ -246,7 +250,7 @@ def parse_edge_list(text: str) -> Graph:
     if len(header) != 2:
         raise MalformedInput(f"header must be 'n m', got {lines[0]!r}")
     try:
-        n, m = int(header[0]), int(header[1])
+        n, m = _ascii_int(header[0]), _ascii_int(header[1])
     except ValueError:
         raise MalformedInput(f"header must be two integers, got {lines[0]!r}") from None
     if n < 1:
@@ -260,14 +264,30 @@ def parse_edge_list(text: str) -> Graph:
     return Graph.from_edges(n, _parsed_edges(body))
 
 
+def _ascii_int(token: str) -> int:
+    """``int(token)`` for an ASCII ``[+-]?[0-9]+``; ValueError otherwise.
+
+    ``int`` also takes underscores between digits and non-ASCII decimal
+    digits, and a token from ``str.split`` has no whitespace to strip, so
+    refusing those two leaves the grammar."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"not an ASCII integer: {token!r}")
+    return int(token)
+
+
 def _parsed_edges(lines: list[str]) -> Iterator[tuple[int, int, Weight]]:
     weight_of = cache(Weight.from_token)
+    # Lines that are all ASCII and hold no underscore, the common case checked
+    # here in bulk, can give int() nothing outside the grammar; otherwise each
+    # endpoint is checked, so that the first bad line is the one named.
+    body = "".join(lines)
+    to_int = int if body.isascii() and "_" not in body else _ascii_int
     for line in lines:
         parts = line.split()
         if len(parts) != 3:
             raise MalformedInput(f"edge line must be 'u v w', got {line!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = to_int(parts[0]), to_int(parts[1])
         except ValueError:
             raise MalformedInput(f"non-integer vertex in edge line {line!r}") from None
         try:

@@ -112,7 +112,12 @@ class LabelState:
         return None not in map(itemgetter(2), self._rows)
 
     def distances(self) -> tuple[Weight, ...]:
-        return tuple(map(itemgetter(0), self._rows))
+        # From a list, tuple() allocates the exact size. From an iterator
+        # without a length it allocates 10 slots and shrinks them, and the
+        # shrunken tuples fill the free lists of the smaller sizes, which
+        # only a full collection empties: about 1 MiB on a sweep of small
+        # graphs.
+        return tuple([row[0] for row in self._rows])
 
     def rows(self) -> tuple[_Row, ...]:
         """The rows themselves, which copies and a trace's rounds share."""

@@ -2,9 +2,13 @@
 
 Two deliberately unrelated oracles back the labeling engines: an iterative
 edge-sweep (Bellman-Ford) and a combinatorial search over simple paths. A bug
-would have to hit both to validate a wrong answer. Both walk the graph's
-out-edges only: a sweep costs O(m) integer additions, and the search follows
-out-edges of the path's last vertex.
+would have to hit both to validate a wrong answer. Both sum exact integers:
+one helper, :func:`_scaled_weights`, scales each distinct weight by the lcm of
+the weight denominators. It is kept here, apart from the engine's
+``Graph.scaled_weights``, so that a fault in the engine's view cannot make the
+engine and its oracles agree on a wrong distance. Both walk the graph's
+out-edges only: a sweep costs O(m) integer additions, and the search one
+integer addition per path extension it explores.
 """
 
 from __future__ import annotations
@@ -28,24 +32,26 @@ class OracleResult:
     distances: tuple[Weight, ...]
 
 
+def _scaled_weights(g: Graph) -> tuple[int, dict[int, int]]:
+    """``(scale, scaled)``: ``scale`` is the lcm of the weight denominators,
+    and ``scaled[id(w)]`` is ``w * scale``, an exact ``int``, for each
+    distinct weight object w of the graph."""
+    # ids are stable for the call, since the graph keeps its weights alive
+    weights = {id(w): w for out in g.adjacency for _, w in out}
+    fractions = {key: w.fraction for key, w in weights.items()}
+    scale = lcm(*{q.denominator for q in fractions.values()})
+    return scale, {key: q.numerator * (scale // q.denominator) for key, q in fractions.items()}
+
+
 def bellman_ford(g: Graph, source: int) -> OracleResult:
     """Exact single-source distances via at most n-1 full relaxation sweeps.
 
     Each sweep walks the edges in row-major order, skipping tails not reached
     yet, and a sweep that changes nothing ends the run. Sums are exact
-    integers: weights are scaled by the lcm of their denominators. The
-    scaling is done here, not read from ``Graph.scaled_weights`` as the
-    labeling engine does, so that a fault in that view cannot make the
-    engine and its oracle agree on a wrong distance.
+    integers, from :func:`_scaled_weights`.
     """
     check_vertex(g, source)
-    # Each distinct Weight object is scaled once; ids are stable for the
-    # call, since the graph keeps its weights alive.
-    weights = {id(w): w for out in g.adjacency for _, w in out}
-    scale = lcm(*{w.fraction.denominator for w in weights.values()})
-    scaled = {
-        key: w.fraction.numerator * (scale // w.fraction.denominator) for key, w in weights.items()
-    }
+    scale, scaled = _scaled_weights(g)
     tails = [
         (u, [(v - 1, scaled[id(w)]) for v, w in out])
         for u, out in enumerate(g.adjacency)
@@ -68,7 +74,8 @@ def bellman_ford(g: Graph, source: int) -> OracleResult:
         if not improved:
             break
     return OracleResult(
-        tuple(INFINITY if d is None else Weight(Fraction(d, scale)) for d in dist)
+        # a list gives tuple() its size (see LabelState.distances)
+        tuple([INFINITY if d is None else Weight(Fraction(d, scale)) for d in dist])
     )
 
 
@@ -77,9 +84,15 @@ def enumerate_min_path(
 ) -> tuple[Weight, Route | None]:
     """Minimum total over all simple paths source -> target, with a witness.
 
-    Exhaustive search with an admissible cut: a partial path already at or
-    above the best complete total cannot finish cheaper, since every edge is
-    strictly positive. Guarded to n <= 12 against factorial blow-up.
+    An iterative depth-first search over exact integers from
+    :func:`_scaled_weights`: a stack of out-edge iterators, one per vertex on
+    the current path, with the path's running total. It extends paths in
+    ascending vertex order and takes a complete path only when it is strictly
+    cheaper than the best so far, starting from the direct edge, so the
+    witness is the first minimum path in that order. A partial path already
+    at or above the best complete total is cut, since every edge is strictly
+    positive. The cost is one integer addition per path extension explored,
+    which can grow factorially, so n is guarded to <= 12.
     """
     if g.n > MAX_ENUMERATION_VERTICES:
         raise GraphTooLarge(f"enumeration limited to n <= {MAX_ENUMERATION_VERTICES}")
@@ -88,29 +101,42 @@ def enumerate_min_path(
     if source == target:
         return Weight.zero(), Route((source,), Weight.zero())
 
-    best: Weight = INFINITY
+    scale, scaled = _scaled_weights(g)
+    adjacency = g.adjacency
+    # Above the total of any simple path, whose at most n - 1 edges each
+    # weigh at most the largest weight, so it stands for INFINITY in the cut.
+    best = max(scaled.values(), default=0) * g.n + 1
     best_vertices: tuple[int, ...] | None = None
     direct = g.weight(source, target)
     if direct.is_finite:
-        best = direct
+        best = scaled[id(direct)]
         best_vertices = (source, target)
 
-    def visit(v: int, total: Weight, path: tuple[int, ...], visited: frozenset[int]):
-        nonlocal best, best_vertices
-        for u, w in g.adjacency[v - 1]:
-            if u in visited:
+    on_path = [False] * (g.n + 1)
+    on_path[source] = True
+    path = [source]
+    totals = [0]
+    edges = [iter(adjacency[source - 1])]
+    while edges:
+        for u, w in edges[-1]:
+            if on_path[u]:
                 continue
-            extended = total + w
+            extended = totals[-1] + scaled[id(w)]
             if u == target:
                 if extended < best:
                     best = extended
-                    best_vertices = path + (u,)
-                continue
-            if extended >= best:
-                continue
-            visit(u, extended, path + (u,), visited | {u})
-
-    visit(source, Weight.zero(), (source,), frozenset({source}))
+                    best_vertices = (*path, u)
+            elif extended < best:
+                on_path[u] = True
+                path.append(u)
+                totals.append(extended)
+                edges.append(iter(adjacency[u - 1]))
+                break
+        else:
+            edges.pop()
+            totals.pop()
+            on_path[path.pop()] = False
     if best_vertices is None:
         return INFINITY, None
-    return best, Route(best_vertices, best)
+    total = Weight(Fraction(best, scale))
+    return total, Route(best_vertices, total)

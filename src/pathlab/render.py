@@ -33,7 +33,7 @@ from itertools import chain, compress, repeat
 from operator import is_not, itemgetter, ne
 from typing import Callable, Iterator
 
-from .bench import ComparisonRecord
+from .bench import ComparisonRecord, _json_block
 from .errors import MalformedInput
 from .graph import MAX_VERTICES, check_size
 from .labeling import LabelState, RoundRecord, RunTrace, Strategy
@@ -115,17 +115,9 @@ def render_trace_text(trace: RunTrace) -> str:
     return "\n\n".join(blocks + [summary]) + "\n"
 
 
-def _json_array(items: list[str], depth: int) -> str:
-    """A JSON array, in indent-2 layout, for a value nested ``depth`` levels
-    deep. Each item is already encoded and indented to ``depth + 1``."""
-    if not items:
-        return "[]"
-    return "[\n" + ",\n".join(items) + "\n" + "  " * depth + "]"
-
-
 def _json_ints(values: frozenset[int], depth: int) -> str:
     pad = "  " * (depth + 1)
-    return _json_array([f"{pad}{v}" for v in sorted(values)], depth)
+    return _json_block([f"{pad}{v}" for v in sorted(values)], depth)
 
 
 def _json_row(depth: int, v: int, value: Weight, preds, settled) -> str:
@@ -158,7 +150,7 @@ def trace_to_json(trace: RunTrace) -> str:
         f'      "frontier": {_json_ints(record.frontier, 3)},\n'
         f'      "newly_permanent": {_json_ints(record.newly_permanent, 3)},\n'
         '      "labels": '
-        + _json_array(rows, 3)
+        + _json_block(rows, 3)
         + "\n    }"
         for record, rows in zip(trace.rounds, _formatted_rounds(trace, partial(_json_row, 4)))
     ]
@@ -172,9 +164,9 @@ def trace_to_json(trace: RunTrace) -> str:
         f'  "strategy": {json.dumps(trace.strategy.value)},\n'
         f'  "source": {json.dumps(trace.source)},\n'
         f'  "target": {json.dumps(trace.target)},\n'
-        f'  "rounds": {_json_array(rounds, 1)},\n'
-        f'  "final_labels": {_json_array(final_labels, 1)},\n'
-        f'  "final_distances": {_json_array(final_distances, 1)},\n'
+        f'  "rounds": {_json_block(rounds, 1)},\n'
+        f'  "final_labels": {_json_block(final_labels, 1)},\n'
+        f'  "final_distances": {_json_block(final_distances, 1)},\n'
         f'  "rounds_count": {json.dumps(trace.rounds_count)},\n'
         f'  "rounds_count_incl_source": {json.dumps(trace.rounds_count_incl_source)},\n'
         f'  "terminated_early": {json.dumps(trace.terminated_early)}\n'

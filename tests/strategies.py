@@ -1,16 +1,18 @@
 """Hypothesis strategies shared across property tests, and the reference
 implementations that faster library code is checked against: the graph
-invariant checker, the tree matrix's column scan and the Weight-wrapped
-Bellman-Ford sweep."""
+invariant checker, the tree matrix's column scan, the Weight-wrapped
+Bellman-Ford sweep, the recursive Weight path search and the report
+document passed through ``json.dumps``."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from pathlab import INFINITY, DiagonalNonZero, Graph, NegativeOrZeroWeight, Weight
+from pathlab import INFINITY, DiagonalNonZero, Graph, NegativeOrZeroWeight, Route, Weight
 
 
 @st.composite
@@ -141,3 +143,86 @@ def weight_sweep_bellman_ford(g: Graph, source: int) -> tuple[Weight, ...]:
         if not improved:
             break
     return tuple(dist)
+
+
+def recursive_min_path(g: Graph, source: int, target: int) -> tuple[Weight, Route | None]:
+    """The minimum simple path over ``Weight`` values, by recursion: out-edges
+    in ascending order, a partial path at or above the best complete total
+    cut, and a complete path taken only when strictly cheaper than the best,
+    which starts at the direct edge."""
+    if source == target:
+        return Weight.zero(), Route((source,), Weight.zero())
+    best = INFINITY
+    best_vertices = None
+    direct = g.weight(source, target)
+    if direct.is_finite:
+        best = direct
+        best_vertices = (source, target)
+
+    def visit(v: int, total: Weight, path: tuple[int, ...], visited: frozenset[int]):
+        nonlocal best, best_vertices
+        for u, w in g.adjacency[v - 1]:
+            if u in visited:
+                continue
+            extended = total + w
+            if u == target:
+                if extended < best:
+                    best = extended
+                    best_vertices = path + (u,)
+                continue
+            if extended >= best:
+                continue
+            visit(u, extended, path + (u,), visited | {u})
+
+    visit(source, Weight.zero(), (source,), frozenset({source}))
+    if best_vertices is None:
+        return INFINITY, None
+    return best, Route(best_vertices, best)
+
+
+def reference_report_json(report, include_timings: bool = False) -> str:
+    """The report document built as dicts and lists and written by
+    ``json.dumps(document, indent=2)``."""
+
+    def result_dict(result) -> dict:
+        d = {
+            "distances": [str(w) for w in result.final_distances],
+            "rounds": result.rounds_count,
+            "rounds_incl_source": result.rounds_count_incl_source,
+            "agrees_oracle": result.agrees_oracle,
+        }
+        if include_timings:
+            d["elapsed_seconds"] = result.elapsed_seconds
+        return d
+
+    payload = {
+        "config": {
+            "specs": [asdict(s) for s in report.specs],
+            "graphs_per_spec": report.graphs_per_spec,
+            "source": report.source,
+            "target": report.target,
+        },
+        "records": [
+            {
+                "spec_index": r.spec_index,
+                "graph_index": r.graph_index,
+                "source": r.source,
+                "target": r.target,
+                "oracle_distances": [str(w) for w in r.oracle_distances],
+                "strategies": {res.strategy.value: result_dict(res) for res in r.results},
+                "stable_batch_unsound": r.stable_batch_unsound,
+            }
+            for r in report.records
+        ],
+        "aggregates": {
+            strategy.value: {
+                "mean_rounds": str(agg.mean_rounds),
+                "min_rounds": agg.min_rounds,
+                "max_rounds": agg.max_rounds,
+                "agreement_rate": str(agg.agreement_rate),
+            }
+            for strategy, agg in report.aggregates.items()
+        },
+        "stable_batch_unsound_count": report.stable_batch_unsound_count,
+    }
+    return json.dumps(payload, indent=2) + "\n"

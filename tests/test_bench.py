@@ -28,7 +28,7 @@ from pathlab import (
 from pathlab.bench import CSV_HEADER, _derived_seed
 from pathlab.graph import MAX_EDGES, MAX_VERTICES
 
-from .strategies import matrix_adjacency, validate
+from .strategies import matrix_adjacency, reference_report_json, validate
 
 
 def single_record_report(record) -> RunReport:
@@ -234,6 +234,46 @@ class TestReportFormats:
         record = compare(paper8, 1, spec_index=0, graph_index=0)
         text = report_to_json(single_record_report(record))
         assert '"0",' in text and '"10",' in text
+
+
+# Suites whose reports pin report_to_json's bytes to the json.dumps reference:
+# the empty cases, and spec fields whose JSON text depends on their type.
+REPORT_SUITES = [
+    pytest.param([], 3, id="empty_specs"),
+    pytest.param([spec()], 0, id="zero_graphs"),
+    pytest.param(
+        [spec(density=0.1), spec(density=1 / 3, tie_bias=0.5), spec(density=1e-05, seed=7)],
+        2,
+        id="float_densities",
+    ),
+    pytest.param([spec(n=3, density=1, tie_bias=1)], 2, id="int_density_and_bias"),
+]
+
+
+class TestReportBytes:
+    @pytest.mark.parametrize("specs, graphs", REPORT_SUITES)
+    @pytest.mark.parametrize("include_timings", [False, True])
+    def test_suite_reports_match_json_dumps(self, specs, graphs, include_timings):
+        report = run_suite(specs, graphs)
+        assert report_to_json(report, include_timings) == reference_report_json(
+            report, include_timings
+        )
+
+    def test_single_record_with_target_and_no_indices(self, paper8):
+        # what a compare of one graph gives: a target, and no spec or graph index
+        report = single_record_report(compare(paper8, 1, target=8))
+        for include_timings in (False, True):
+            assert report_to_json(report, include_timings) == reference_report_json(
+                report, include_timings
+            )
+
+    def test_infinite_distances_and_unsound_records(self, counterexample4):
+        g = Graph.from_edges(3, [(1, 2, 4)])
+        records = (compare(counterexample4, 1, None, 0, 0), compare(g, 1, None, 0, 1))
+        aggregates, unsound = compute_aggregates(records)
+        report = RunReport((spec(),), 2, 1, None, records, aggregates, unsound)
+        assert '"INF"' in report_to_json(report)
+        assert report_to_json(report) == reference_report_json(report)
 
 
 def _perfbench_spans():

@@ -63,7 +63,23 @@ EDGE_LIST_ERRORS = [
     pytest.param("2 -1\n", "edge count must be >= 0, got -1", id="negative_edge_count"),
     pytest.param("2 1\n1 a 3\n", "non-integer vertex in edge line '1 a 3'", id="non_integer_vertex"),
     pytest.param("2 1\n1 2 INF\n", "edge line '1 2 INF': weight must be finite", id="inf_weight"),
+    # counts and endpoints that int() accepts but the ASCII grammar
+    # [+-]?[0-9]+ does not
+    pytest.param("1_0 1\n1 2 5\n", "header must be two integers, got '1_0 1'", id="underscore_count"),
+    pytest.param(
+        "2 1\n1 \u0662 5\n",
+        "non-integer vertex in edge line '1 \u0662 5'",
+        id="arabic_indic_endpoint",
+    ),
+    pytest.param(
+        "3 2\n1 2 5\n2 3_0 1\n",
+        "non-integer vertex in edge line '2 3_0 1'",
+        id="underscore_in_a_later_endpoint",
+    ),
 ]
+
+# Matrix vertex counts that int() accepts but the ASCII grammar does not.
+NON_ASCII_COUNTS = ["\u0662", "\uff12", "0_2"]
 
 
 class TestParseMatrix:
@@ -118,6 +134,12 @@ class TestParseMatrix:
     def test_only_bounded_decimal_literals(self, token):
         with pytest.raises(MalformedInput, match="decimal literal"):
             parse_matrix_text(f"2\n0 {token}\n1 0\n")
+
+    @pytest.mark.parametrize("count", NON_ASCII_COUNTS)
+    def test_vertex_count_is_an_ascii_integer(self, count):
+        message = f"vertex count is not an integer: {count!r}"
+        with pytest.raises(MalformedInput, match=f"^{re.escape(message)}$"):
+            parse_matrix_text(f"{count}\n0 1\n1 0\n")
 
     def test_longest_decimal_literals(self):
         g = parse_matrix_text(f"2\n0 {'9' * 30}\n0.{'0' * 28}1 0\n")
@@ -186,6 +208,11 @@ class TestParseEdgeList:
     def test_infinite_edge_weight_is_rejected(self):
         with pytest.raises(MalformedInput):
             parse_edge_list("2 1\n1 2 INF\n")
+
+    def test_comments_may_hold_any_text(self):
+        # only content lines are held to the ASCII integer grammar
+        g = parse_edge_list("# caf\u00e9_graph \u0662\n2 1\n1 2 5\n")
+        assert g.weight(1, 2) == 5
 
     @pytest.mark.parametrize("text, message", EDGE_LIST_ERRORS)
     def test_format_errors_name_their_fault(self, text, message):

@@ -17,7 +17,13 @@ from pathlab import (
 )
 from pathlab.render import render_oracle_text
 
-from .strategies import exact_weights, graphs, weight_sweep_bellman_ford
+from .strategies import (
+    exact_weights,
+    graphs,
+    recursive_min_path,
+    tied_weights,
+    weight_sweep_bellman_ford,
+)
 
 
 class TestBellmanFord:
@@ -94,6 +100,27 @@ def test_oracles_agree_on_random_graphs(g):
             assert route.total == total
 
 
+@given(
+    st.one_of(
+        graphs(max_n=7),
+        graphs(max_n=7, weights=exact_weights),
+        graphs(max_n=7, weights=tied_weights),
+    )
+)
+def test_enumeration_equals_the_recursive_weight_search(g):
+    # same total and same witness, for every (source, target) pair
+    for source in g.vertices():
+        for target in g.vertices():
+            total, route = enumerate_min_path(g, source, target)
+            expected_total, expected_route = recursive_min_path(g, source, target)
+            assert total == expected_total
+            if expected_route is None:
+                assert route is None
+            else:
+                assert route.vertices == expected_route.vertices
+                assert route.total == total
+
+
 @given(graphs(max_n=8, weights=exact_weights), st.data())
 def test_bellman_ford_equals_the_weight_sweep(g, data):
     source = data.draw(st.integers(1, g.n))
@@ -107,3 +134,12 @@ def test_bellman_ford_is_exact_across_denominators():
     distances = bellman_ford(g, 1).distances
     assert distances == weight_sweep_bellman_ford(g, 1)
     assert distances[3].fraction == tiny + third + seventh
+
+
+def test_enumeration_is_exact_across_denominators():
+    # the path 1-2-3-4 sums to just under 1/2, below the direct edge 1 -> 4
+    tiny, third, seventh = Fraction(1, 10**29), Fraction(1, 3), Fraction(1, 7)
+    g = Graph.from_edges(4, [(1, 2, tiny), (2, 3, third), (3, 4, seventh), (1, 4, 1)])
+    total, route = enumerate_min_path(g, 1, 4)
+    assert total.fraction == tiny + third + seventh
+    assert route.vertices == (1, 2, 3, 4)
