@@ -14,8 +14,6 @@ from .bench import (
     compare,
     compute_aggregates,
     generate_graph,
-    report_to_csv,
-    report_to_json,
     run_suite,
 )
 from .errors import (
@@ -52,6 +50,7 @@ from .oracle import (
     bellman_ford,
     enumerate_min_path,
 )
+from .render import report_to_csv, report_to_json
 from .tree import Route, TreeMatrix, build_tree_matrix, extract_path
 from .weights import INFINITY, Weight
 

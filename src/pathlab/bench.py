@@ -7,17 +7,16 @@ Bellman-Ford oracle, and STABLE_BATCH disagreements are flagged rather than
 raised - unsoundness findings are data here.
 
 Reports are fully deterministic given the specs and seeds: records are
-ordered by (spec, index) and wall-clock timings are kept out of serialized
-output unless explicitly requested.
+ordered by (spec, index). :mod:`pathlab.render` writes a report as CSV or
+JSON, leaving out the wall-clock timings the records keep unless asked.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graph import MAX_EDGES, MAX_VERTICES, Graph
@@ -26,8 +25,6 @@ from .oracle import bellman_ford
 from .weights import Weight
 
 STRATEGY_ORDER = (Strategy.SINGLE_MIN, Strategy.TIE_BATCH, Strategy.STABLE_BATCH)
-
-CSV_HEADER = "spec_index,graph_index,strategy,rounds,rounds_incl_source,agrees_oracle,unsound"
 
 
 @dataclass(frozen=True)
@@ -93,7 +90,7 @@ class StrategyResult:
     final_distances: tuple[Weight, ...]
     rounds_count: int
     # A wall-clock reading, so two runs of the same comparison still compare
-    # equal; report_to_json(include_timings=True) serializes it.
+    # equal; render.report_to_json(include_timings=True) serializes it.
     elapsed_seconds: float = field(compare=False)
     agrees_oracle: bool
 
@@ -112,7 +109,10 @@ class ComparisonRecord:
     target: int | None
     oracle_distances: tuple[Weight, ...]
     results: tuple[StrategyResult, ...]
-    stable_batch_unsound: bool
+
+    @property
+    def stable_batch_unsound(self) -> bool:
+        return not self.result(Strategy.STABLE_BATCH).agrees_oracle
 
     def result(self, strategy: Strategy) -> StrategyResult:
         for r in self.results:
@@ -163,15 +163,13 @@ def compare(
                 agrees_oracle=distances == oracle.distances,
             )
         )
-    results = tuple(results)
     return ComparisonRecord(
         spec_index=spec_index,
         graph_index=graph_index,
         source=source,
         target=target,
         oracle_distances=oracle.distances,
-        results=results,
-        stable_batch_unsound=not results[-1].agrees_oracle,
+        results=tuple(results),
     )
 
 
@@ -238,124 +236,3 @@ def run_suite(
         aggregates=aggregates,
         stable_batch_unsound_count=unsound,
     )
-
-
-def report_to_csv(report: RunReport) -> str:
-    """Flat tabular format, one row per (record, strategy).
-
-    ``agrees_oracle`` is the strategy's exact distance agreement with the
-    Bellman-Ford oracle; ``unsound`` is its negation (true only ever for
-    stablebatch rows, where it equals the record's stable_batch_unsound flag).
-    """
-    lines = [CSV_HEADER]
-    for record in report.records:
-        for result in record.results:
-            lines.append(
-                ",".join(
-                    [
-                        _index_str(record.spec_index),
-                        _index_str(record.graph_index),
-                        result.strategy.value,
-                        str(result.rounds_count),
-                        str(result.rounds_count_incl_source),
-                        _bool_str(result.agrees_oracle),
-                        _bool_str(not result.agrees_oracle),
-                    ]
-                )
-            )
-    return "\n".join(lines) + "\n"
-
-
-def report_to_json(report: RunReport, include_timings: bool = False) -> str:
-    """The report as ``json.dumps(document, indent=2) + "\\n"``.
-
-    The document has the keys written below, in that order: the config, with
-    each spec as its fields; one object per record, with each strategy's
-    result under its value; the aggregates per strategy; and the unsound
-    count. Weights and fractions are exact strings. Wall-clock timings are
-    omitted by default so that repeated runs with the same seeds serialize
-    byte-identically.
-    """
-    specs = [
-        "      "
-        + _json_block(
-            [f'        "{f.name}": {json.dumps(getattr(s, f.name))}' for f in fields(s)], 3, "{}"
-        )
-        for s in report.specs
-    ]
-    records = [_json_record(record, include_timings) for record in report.records]
-    aggregates = [
-        f'    "{strategy.value}": {{\n'
-        f'      "mean_rounds": "{agg.mean_rounds}",\n'
-        f'      "min_rounds": {agg.min_rounds},\n'
-        f'      "max_rounds": {agg.max_rounds},\n'
-        f'      "agreement_rate": "{agg.agreement_rate}"\n'
-        "    }"
-        for strategy, agg in report.aggregates.items()
-    ]
-    return (
-        "{\n"
-        '  "config": {\n'
-        f'    "specs": {_json_block(specs, 2)},\n'
-        f'    "graphs_per_spec": {report.graphs_per_spec},\n'
-        f'    "source": {report.source},\n'
-        f'    "target": {json.dumps(report.target)}\n'
-        "  },\n"
-        f'  "records": {_json_block(records, 1)},\n'
-        f'  "aggregates": {_json_block(aggregates, 1, "{}")},\n'
-        f'  "stable_batch_unsound_count": {report.stable_batch_unsound_count}\n'
-        "}\n"
-    )
-
-
-def _json_record(record: ComparisonRecord, include_timings: bool) -> str:
-    # One element of the document's "records" array, nested two levels deep.
-    # No string in it needs escaping: str(Weight) and the strategy values are
-    # ASCII digits, letters and "./-".
-    results = [
-        f'        "{result.strategy.value}": {{\n'
-        f'          "distances": {_json_strings(result.final_distances, 5)},\n'
-        f'          "rounds": {result.rounds_count},\n'
-        f'          "rounds_incl_source": {result.rounds_count_incl_source},\n'
-        f'          "agrees_oracle": {_bool_str(result.agrees_oracle)}'
-        + (
-            f',\n          "elapsed_seconds": {json.dumps(result.elapsed_seconds)}'
-            if include_timings
-            else ""
-        )
-        + "\n        }"
-        for result in record.results
-    ]
-    return (
-        "    {\n"
-        f'      "spec_index": {json.dumps(record.spec_index)},\n'
-        f'      "graph_index": {json.dumps(record.graph_index)},\n'
-        f'      "source": {record.source},\n'
-        f'      "target": {json.dumps(record.target)},\n'
-        f'      "oracle_distances": {_json_strings(record.oracle_distances, 3)},\n'
-        f'      "strategies": {_json_block(results, 3, "{}")},\n'
-        f'      "stable_batch_unsound": {_bool_str(record.stable_batch_unsound)}\n'
-        "    }"
-    )
-
-
-def _json_strings(weights: tuple[Weight, ...], depth: int) -> str:
-    pad = "  " * (depth + 1)
-    return _json_block([f'{pad}"{w}"' for w in weights], depth)
-
-
-def _json_block(items: list[str], depth: int, brackets: str = "[]") -> str:
-    """A JSON array, or with ``brackets="{}"`` an object, in indent-2 layout,
-    for a value nested ``depth`` levels deep. Each item is already encoded,
-    with its key for an object, and indented to ``depth + 1``."""
-    if not items:
-        return brackets
-    return f"{brackets[0]}\n" + ",\n".join(items) + "\n" + "  " * depth + brackets[1]
-
-
-def _index_str(value: int | None) -> str:
-    return "" if value is None else str(value)
-
-
-def _bool_str(value: bool) -> str:
-    return "true" if value else "false"

@@ -173,9 +173,9 @@ def bench(nodes, density, graphs, seed, tie_bias, weights, source, out):
         raise click.UsageError(f"--source must be in 1..{nodes}")
     report = bench_mod.run_suite([spec], graphs, source=source)
     if out.endswith(".json"):
-        payload = bench_mod.report_to_json(report)
+        payload = render.report_to_json(report)
     else:
-        payload = bench_mod.report_to_csv(report)
+        payload = render.report_to_csv(report)
     try:
         Path(out).write_text(payload, encoding="utf-8")
     except OSError as exc:

@@ -1,5 +1,12 @@
 """Deterministic text and structured renderings of runs, trees, and reports.
 
+Every document pathlab writes is written here, bench's CSV and JSON reports
+included. The JSON writers build ``json.dumps(..., indent=2)`` bytes directly
+and encode each kind of value one way: ints by f-string, bools by
+``_bool_str``, weight arrays by ``_json_strings`` and known-ASCII strings
+quoted as they are; ``json.dumps`` writes only values whose text depends on
+their type or that may be None.
+
 The per-round trace table prints one row per vertex as
 ``node | [value, predecessor] | status`` with values to two decimals, ``-``
 for the source predecessor, and blank label/status columns for vertices still
@@ -27,13 +34,14 @@ decoding and those comparisons.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from fractions import Fraction
 from functools import cache, partial
 from itertools import chain, compress, repeat
 from operator import is_not, itemgetter, ne
 from typing import Callable, Iterator
 
-from .bench import ComparisonRecord, _json_block
+from .bench import ComparisonRecord, RunReport
 from .errors import MalformedInput
 from .graph import MAX_VERTICES, check_size
 from .labeling import LabelState, RoundRecord, RunTrace, Strategy
@@ -45,6 +53,8 @@ from .weights import Weight
 # structured formats write every label every round, while the run itself
 # records only its changes. Every run on a graph within the dense cap fits.
 MAX_SNAPSHOT_CELLS = MAX_VERTICES**2
+
+CSV_HEADER = "spec_index,graph_index,strategy,rounds,rounds_incl_source,agrees_oracle,unsound"
 
 
 def fixed_decimal(value: Fraction, places: int) -> str:
@@ -115,6 +125,24 @@ def render_trace_text(trace: RunTrace) -> str:
     return "\n\n".join(blocks + [summary]) + "\n"
 
 
+def _json_block(items: list[str], depth: int, brackets: str = "[]") -> str:
+    """A JSON array, or with ``brackets="{}"`` an object, in indent-2 layout,
+    for a value nested ``depth`` levels deep. Each item is already encoded,
+    with its key for an object, and indented to ``depth + 1``."""
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n" + ",\n".join(items) + "\n" + "  " * depth + brackets[1]
+
+
+def _json_strings(weights: tuple[Weight, ...], depth: int) -> str:
+    pad = "  " * (depth + 1)
+    return _json_block([f'{pad}"{w}"' for w in weights], depth)
+
+
+def _bool_str(value: bool) -> str:
+    return "true" if value else "false"
+
+
 def _json_ints(values: frozenset[int], depth: int) -> str:
     pad = "  " * (depth + 1)
     return _json_block([f"{pad}{v}" for v in sorted(values)], depth)
@@ -146,7 +174,7 @@ def trace_to_json(trace: RunTrace) -> str:
     """
     rounds = [
         "    {\n"
-        f'      "round_index": {json.dumps(record.round_index)},\n'
+        f'      "round_index": {record.round_index},\n'
         f'      "frontier": {_json_ints(record.frontier, 3)},\n'
         f'      "newly_permanent": {_json_ints(record.newly_permanent, 3)},\n'
         '      "labels": '
@@ -157,19 +185,18 @@ def trace_to_json(trace: RunTrace) -> str:
     final_labels = [
         _json_row(2, v, *row) for v, row in enumerate(trace.final_labels.rows(), start=1)
     ]
-    final_distances = [f"    {json.dumps(str(w))}" for w in trace.final_distances]
     return (
         "{\n"
-        f'  "algorithm": {json.dumps(trace.algorithm)},\n'
-        f'  "strategy": {json.dumps(trace.strategy.value)},\n'
-        f'  "source": {json.dumps(trace.source)},\n'
+        f'  "algorithm": "{trace.algorithm}",\n'
+        f'  "strategy": "{trace.strategy.value}",\n'
+        f'  "source": {trace.source},\n'
         f'  "target": {json.dumps(trace.target)},\n'
         f'  "rounds": {_json_block(rounds, 1)},\n'
         f'  "final_labels": {_json_block(final_labels, 1)},\n'
-        f'  "final_distances": {_json_block(final_distances, 1)},\n'
-        f'  "rounds_count": {json.dumps(trace.rounds_count)},\n'
-        f'  "rounds_count_incl_source": {json.dumps(trace.rounds_count_incl_source)},\n'
-        f'  "terminated_early": {json.dumps(trace.terminated_early)}\n'
+        f'  "final_distances": {_json_strings(trace.final_distances, 1)},\n'
+        f'  "rounds_count": {trace.rounds_count},\n'
+        f'  "rounds_count_incl_source": {trace.rounds_count_incl_source},\n'
+        f'  "terminated_early": {_bool_str(trace.terminated_early)}\n'
         "}\n"
     )
 
@@ -318,11 +345,12 @@ class _TraceLoader:
 def trace_from_json(text: str) -> RunTrace:
     """Inverse of :func:`trace_to_json`, in one walk over the rounds.
 
-    Raises MalformedInput for any document no run writes: when ``text`` is
-    not JSON, lacks a key, holds a value of the wrong type, an unknown
-    strategy or status, an out-of-range vertex, a vertex list (a frontier,
-    batch or predecessor set) that is not strictly ascending, or label lists
-    whose lengths differ; when a round breaks a rule of
+    Checks the decoded content of the keys a run writes: other keys are
+    ignored, and a weight "1.0" loads as "1". Raises MalformedInput when
+    ``text`` is not JSON, lacks a key, holds a value of the wrong type, an
+    unknown strategy or status, an out-of-range vertex, a vertex list (a
+    frontier, batch or predecessor set) that is not strictly ascending, or
+    label lists whose lengths differ; when a round breaks a rule of
     ``_TraceLoader.round``, checked as it is read, so the first faulty round
     is reported; or when a field it derives disagrees with the document: the
     algorithm, either round count, the final distances, a status given its
@@ -399,10 +427,102 @@ def render_comparison_text(record: ComparisonRecord) -> str:
         lines.append(
             f"{result.strategy.value:<11} | {result.rounds_count:6d} |"
             f" {result.rounds_count_incl_source:18d} |"
-            f" {'true' if result.agrees_oracle else 'false'}"
+            f" {_bool_str(result.agrees_oracle)}"
         )
-    lines.append(
-        "stable_batch_unsound: "
-        + ("true" if record.stable_batch_unsound else "false")
-    )
+    lines.append(f"stable_batch_unsound: {_bool_str(record.stable_batch_unsound)}")
     return "\n".join(lines) + "\n"
+
+
+def report_to_csv(report: RunReport) -> str:
+    """Flat tabular format, one row per (record, strategy).
+
+    ``agrees_oracle`` is the strategy's exact distance agreement with the
+    Bellman-Ford oracle; ``unsound`` is its negation (true only ever for
+    stablebatch rows, where it equals the record's stable_batch_unsound flag).
+    """
+    lines = [CSV_HEADER]
+    for record in report.records:
+        for result in record.results:
+            lines.append(
+                f"{_index_str(record.spec_index)},{_index_str(record.graph_index)},"
+                f"{result.strategy.value},{result.rounds_count},{result.rounds_count_incl_source},"
+                f"{_bool_str(result.agrees_oracle)},{_bool_str(not result.agrees_oracle)}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def _index_str(value: int | None) -> str:
+    return "" if value is None else str(value)
+
+
+def report_to_json(report: RunReport, include_timings: bool = False) -> str:
+    """The report as ``json.dumps(document, indent=2) + "\\n"``.
+
+    The document has the keys written below, in that order: the config, with
+    each spec as its fields; one object per record, with each strategy's
+    result under its value; the aggregates per strategy; and the unsound
+    count. Weights and fractions are exact strings. Wall-clock timings are
+    omitted by default so that repeated runs with the same seeds serialize
+    byte-identically.
+    """
+    specs = [
+        "      "
+        + _json_block(
+            [f'        "{f.name}": {json.dumps(getattr(s, f.name))}' for f in fields(s)], 3, "{}"
+        )
+        for s in report.specs
+    ]
+    records = [_json_record(record, include_timings) for record in report.records]
+    aggregates = [
+        f'    "{strategy.value}": {{\n'
+        f'      "mean_rounds": "{agg.mean_rounds}",\n'
+        f'      "min_rounds": {agg.min_rounds},\n'
+        f'      "max_rounds": {agg.max_rounds},\n'
+        f'      "agreement_rate": "{agg.agreement_rate}"\n'
+        "    }"
+        for strategy, agg in report.aggregates.items()
+    ]
+    return (
+        "{\n"
+        '  "config": {\n'
+        f'    "specs": {_json_block(specs, 2)},\n'
+        f'    "graphs_per_spec": {report.graphs_per_spec},\n'
+        f'    "source": {report.source},\n'
+        f'    "target": {json.dumps(report.target)}\n'
+        "  },\n"
+        f'  "records": {_json_block(records, 1)},\n'
+        f'  "aggregates": {_json_block(aggregates, 1, "{}")},\n'
+        f'  "stable_batch_unsound_count": {report.stable_batch_unsound_count}\n'
+        "}\n"
+    )
+
+
+def _json_record(record: ComparisonRecord, include_timings: bool) -> str:
+    # One element of the document's "records" array, nested two levels deep.
+    # No string in it needs escaping: str(Weight) and the strategy values are
+    # ASCII digits, letters and "./-".
+    results = [
+        f'        "{result.strategy.value}": {{\n'
+        f'          "distances": {_json_strings(result.final_distances, 5)},\n'
+        f'          "rounds": {result.rounds_count},\n'
+        f'          "rounds_incl_source": {result.rounds_count_incl_source},\n'
+        f'          "agrees_oracle": {_bool_str(result.agrees_oracle)}'
+        + (
+            f',\n          "elapsed_seconds": {json.dumps(result.elapsed_seconds)}'
+            if include_timings
+            else ""
+        )
+        + "\n        }"
+        for result in record.results
+    ]
+    return (
+        "    {\n"
+        f'      "spec_index": {json.dumps(record.spec_index)},\n'
+        f'      "graph_index": {json.dumps(record.graph_index)},\n'
+        f'      "source": {record.source},\n'
+        f'      "target": {json.dumps(record.target)},\n'
+        f'      "oracle_distances": {_json_strings(record.oracle_distances, 3)},\n'
+        f'      "strategies": {_json_block(results, 3, "{}")},\n'
+        f'      "stable_batch_unsound": {_bool_str(record.stable_batch_unsound)}\n'
+        "    }"
+    )

@@ -56,7 +56,8 @@ def build_tree_matrix(g: Graph, trace: RunTrace) -> TreeMatrix:
 
     The parent is the lowest id in the vertex's final predecessor set.
     Unsettled vertices get no parent, so a route to one is "no path".
-    Raises MalformedInput unless the trace has the graph's n vertices.
+    Raises MalformedInput unless the trace has the graph's n vertices and
+    the graph has an edge from each parent to its vertex.
     """
     if trace.final_labels.n != g.n:
         raise MalformedInput(f"the trace has {trace.final_labels.n} vertices, the graph {g.n}")
@@ -66,7 +67,9 @@ def build_tree_matrix(g: Graph, trace: RunTrace) -> TreeMatrix:
         if j == trace.source or settled is None:
             continue
         parent = parents[j - 1] = min(preds)
-        weights[j - 1] = g.weight(parent, j)
+        weight = weights[j - 1] = g.weight(parent, j)
+        if weight.is_infinite:
+            raise MalformedInput(f"vertex {j}'s parent {parent} has no edge to it in the graph")
     return TreeMatrix(g.n, trace.source, tuple(parents), tuple(weights))
 
 

@@ -1,11 +1,14 @@
 """Hypothesis strategies shared across property tests, and the reference
 implementations that faster library code is checked against: the graph
 invariant checker, the tree matrix's column scan, the Weight-wrapped
-Bellman-Ford sweep, the recursive Weight path search and the report
-document passed through ``json.dumps``."""
+Bellman-Ford sweep, the recursive Weight path search, the report document
+passed through ``json.dumps`` and the report rows passed through
+``csv.writer``."""
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -226,3 +229,22 @@ def reference_report_json(report, include_timings: bool = False) -> str:
         "stable_batch_unsound_count": report.stable_batch_unsound_count,
     }
     return json.dumps(payload, indent=2) + "\n"
+
+
+def reference_report_csv(report) -> str:
+    """The report's rows, one per (record, strategy), written by
+    ``csv.writer`` with ``"\\n"`` line endings."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(
+        ["spec_index", "graph_index", "strategy", "rounds", "rounds_incl_source",
+         "agrees_oracle", "unsound"]
+    )
+    for r in report.records:
+        for res in r.results:
+            writer.writerow(
+                [r.spec_index, r.graph_index, res.strategy.value, res.rounds_count,
+                 res.rounds_count_incl_source, str(res.agrees_oracle).lower(),
+                 str(not res.agrees_oracle).lower()]
+            )
+    return out.getvalue()

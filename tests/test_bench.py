@@ -25,10 +25,11 @@ from pathlab import (
     report_to_json,
     run_suite,
 )
-from pathlab.bench import CSV_HEADER, _derived_seed
+from pathlab.bench import _derived_seed
 from pathlab.graph import MAX_EDGES, MAX_VERTICES
+from pathlab.render import CSV_HEADER
 
-from .strategies import matrix_adjacency, reference_report_json, validate
+from .strategies import matrix_adjacency, reference_report_csv, reference_report_json, validate
 
 
 def single_record_report(record) -> RunReport:
@@ -236,8 +237,9 @@ class TestReportFormats:
         assert '"0",' in text and '"10",' in text
 
 
-# Suites whose reports pin report_to_json's bytes to the json.dumps reference:
-# the empty cases, and spec fields whose JSON text depends on their type.
+# Suites whose reports pin report_to_json's bytes to the json.dumps reference,
+# and report_to_csv's to the csv.writer one: the empty cases, and spec fields
+# whose JSON text depends on their type.
 REPORT_SUITES = [
     pytest.param([], 3, id="empty_specs"),
     pytest.param([spec()], 0, id="zero_graphs"),
@@ -259,6 +261,11 @@ class TestReportBytes:
             report, include_timings
         )
 
+    @pytest.mark.parametrize("specs, graphs", REPORT_SUITES)
+    def test_suite_reports_match_csv_writer(self, specs, graphs):
+        report = run_suite(specs, graphs)
+        assert report_to_csv(report) == reference_report_csv(report)
+
     def test_single_record_with_target_and_no_indices(self, paper8):
         # what a compare of one graph gives: a target, and no spec or graph index
         report = single_record_report(compare(paper8, 1, target=8))
@@ -266,6 +273,7 @@ class TestReportBytes:
             assert report_to_json(report, include_timings) == reference_report_json(
                 report, include_timings
             )
+        assert report_to_csv(report) == reference_report_csv(report)
 
     def test_infinite_distances_and_unsound_records(self, counterexample4):
         g = Graph.from_edges(3, [(1, 2, 4)])
@@ -274,6 +282,7 @@ class TestReportBytes:
         report = RunReport((spec(),), 2, 1, None, records, aggregates, unsound)
         assert '"INF"' in report_to_json(report)
         assert report_to_json(report) == reference_report_json(report)
+        assert report_to_csv(report) == reference_report_csv(report)
 
 
 def _perfbench_spans():

@@ -60,7 +60,8 @@ def _golden_cases():
     trace of `trace --source 1 --target <last vertex> --stop-at-target --algo
     <algo>`, and path_<fixture stem>_<algo>.txt that of `path` with `--algo
     tiebatch|stablebatch`. error_<stem>.txt holds the stderr of `oracle` on
-    the bad graph file <stem>, which exits 1.
+    the bad graph file <stem>, which exits 1. TestBench checks the
+    bench_report.{csv,json} and bench_{csv,json}.txt goldens.
     """
     for format_ in ["text", "structured"]:
         for algo in ["classic", "tiebatch", "stablebatch"]:
@@ -416,6 +417,22 @@ class TestErrorExit:
 
 
 class TestBench:
+    @pytest.mark.parametrize("ext", ["csv", "json"])
+    def test_report_and_stdout_match_golden_bytes(self, runner, tmp_path, ext):
+        # tests/golden/bench_report.<ext> holds the file and bench_<ext>.txt the
+        # stdout of this run, from a fresh working directory, so the relative
+        # --out path in "wrote report.<ext> (4 records)" does not vary
+        argv = [
+            "bench", "--nodes", "5", "--density", "0.7", "--graphs", "4", "--seed", "3",
+            "--tie-bias", "1.0", "--out", f"report.{ext}",
+        ]
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            result = runner.invoke(main, argv)
+            report = Path(f"report.{ext}").read_bytes()
+        assert result.exit_code == 0
+        assert result.stdout_bytes == (GOLDEN / f"bench_{ext}.txt").read_bytes()
+        assert report == (GOLDEN / f"bench_report.{ext}").read_bytes()
+
     def test_writes_csv_report(self, runner, tmp_path):
         out = tmp_path / "report.csv"
         result = runner.invoke(

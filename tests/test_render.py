@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import ast
 import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pathlab
 from pathlab import (
     Graph,
     LabelState,
@@ -117,6 +120,22 @@ def test_comparison_rendering(counterexample4):
     assert "stable_batch_unsound: true" in text
     assert "oracle (bellman-ford): 0 1 3 2" in text
     assert "singlemin" in text and "tiebatch" in text and "stablebatch" in text
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a helper two modules share is public, or lives in the one module that
+    # uses it, as the JSON encoders live with every writer in render
+    package = Path(pathlab.__file__).parent
+    private = [
+        (path.name, node.module, alias.name)
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "pathlab")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def test_six_decimal_summaries_are_fixed_width():

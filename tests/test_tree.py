@@ -21,7 +21,7 @@ from pathlab import (
 )
 from pathlab.graph import MAX_VERTICES
 from pathlab.bench import run_strategy
-from pathlab.render import render_tree_matrix
+from pathlab.render import render_tree_matrix, trace_from_json, trace_to_json
 
 from .strategies import column_scan_parent, graphs, reference_tree_entries
 
@@ -144,6 +144,15 @@ def test_a_trace_of_another_vertex_count_is_malformed_input(paper8, n):
     trace = run_classic(paper8, 1)
     with pytest.raises(MalformedInput, match=f"^the trace has 8 vertices, the graph {n}$"):
         build_tree_matrix(Graph.from_edges(n, [(1, 2, 1)]), trace)
+
+
+def test_a_trace_of_another_graph_is_malformed_input(paper8):
+    # paper8's trace fits a path graph's vertex count, but its parent links
+    # are not the path's edges: a route over them would total INF
+    trace = trace_from_json(trace_to_json(run_classic(paper8, 1)))
+    path_graph = Graph.from_edges(8, [(v, v + 1, 1) for v in range(1, 8)])
+    with pytest.raises(MalformedInput, match="^vertex 3's parent 1 has no edge to it in the graph$"):
+        build_tree_matrix(path_graph, trace)
 
 
 def test_parent_links_that_loop_are_malformed_input():
