@@ -132,9 +132,10 @@ class Graph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int, object]]) -> "Graph":
         """Checked constructor: listed edges, INFINITY elsewhere.
 
-        A weight is a Weight or anything ``Weight.finite`` takes. Edges are
-        checked in order, and the first bad one raises VertexOutOfRange,
-        SelfLoop, DuplicateEdge, MalformedInput (an INFINITY weight) or
+        A weight is a Weight, an int, Fraction or float, or a str in the
+        graph-file grammar (``Weight.finite``). Edges are checked in order,
+        and the first bad one raises VertexOutOfRange, SelfLoop,
+        DuplicateEdge, MalformedInput (any other weight, or INFINITY) or
         NegativeOrZeroWeight. Raises MalformedInput below one vertex and
         GraphTooLarge above ``MAX_SPARSE_VERTICES``.
         """
@@ -151,7 +152,10 @@ class Graph:
             if v in row:
                 raise DuplicateEdge(f"edge ({u},{v}) listed twice")
             if not isinstance(w, Weight):
-                w = Weight.finite(w)
+                try:
+                    w = Weight.finite(w)
+                except (TypeError, ValueError, OverflowError):
+                    raise MalformedInput(f"edge ({u},{v}) has unreadable weight {w!r}") from None
             if w.is_infinite:
                 raise MalformedInput(f"edge ({u},{v}) has weight INF")
             if w.fraction.numerator <= 0:

@@ -20,15 +20,7 @@ vertices whose labels it changed (see :mod:`pathlab.labeling`).
 formatted rows, one per vertex, and re-format only the rows a round changed
 before writing the list out. Formatting work is therefore proportional to n
 plus the number of label changes, and the remaining work is joins
-proportional to the output bytes. :func:`trace_from_json` decodes with the C
-JSON parser and, within one call, builds each distinct row and parses each
-distinct weight string and vertex list once. It walks the rounds once: each
-round's labels become its changes by a C-speed comparison with the round
-before, and those changes are checked against the rows the walk holds as
-they are read. With the fields the document repeats (algorithm, round
-counts, final distances, statuses and the final labels), checked against
-the ones they derive from, a load costs O(n + rounds + changes) beyond the
-decoding and those comparisons.
+proportional to the output bytes; :func:`trace_from_json` gives its own.
 """
 
 from __future__ import annotations
@@ -227,137 +219,32 @@ def _vertices(n: int, values: tuple) -> frozenset[int]:
     return vertices
 
 
-def _row(weight: Callable, vertex_set: Callable, value, preds: tuple, settled):
-    return weight(_typed(value, str)), vertex_set(preds), settled
-
-
-class _TraceLoader:
-    """Builds one RunTrace from decoded JSON in one walk over its rounds.
-
-    Each distinct row, weight string and vertex list is built once per load,
-    and equal ones share one object. Each round is turned into its changes
-    from the rows of the round before, as the engine records them, and is
-    checked against those rows before the next round is read.
-    """
-
-    def __init__(self, n: int, source: int, strategy: Strategy):
-        self.n = n
-        self.single_min = strategy is Strategy.SINGLE_MIN
-        self.weight = cache(Weight.from_str)
-        self.vertex_set = cache(partial(_vertices, n))
-        self.row = cache(partial(_row, self.weight, self.vertex_set))
-        self.vertex_ids = tuple(range(1, n + 1))
-        initial = LabelState.initial(n, source)
-        self.last_rows = initial.rows()
-        self.last: RoundRecord | LabelState = initial
-        self.batch = frozenset({source})
-        self.rounds_read = 0
-
-    def vertices(self, items: list) -> frozenset[int]:
-        # Types are checked before the cache is asked: (True,) and (1.0,)
-        # equal (1,), so a hit would skip the check.
-        if not set(map(type, _typed(items, list))) <= {int}:
-            raise TypeError("vertices must be integers")
-        return self.vertex_set(tuple(items))
-
-    def rows(self, items: list) -> list:
-        if len(_typed(items, list)) != self.n:
-            raise ValueError(f"a label list has {len(items)} rows, expected {self.n}")
-        vertex, value, preds, status, settled = zip(*map(_ROW_FIELDS, items))
-        if vertex != self.vertex_ids or not set(map(type, vertex)) <= {int}:
-            raise ValueError("label rows must list vertices 1..n in order")
-        if not {type(p) for p in preds} <= {list}:
-            raise TypeError("predecessors must be lists")
-        if not set(map(type, chain.from_iterable(preds))) <= {int}:
-            raise TypeError("predecessors must be integers")
-        if not {type(r) for r in settled} <= {int, type(None)}:
-            raise TypeError("settled_round must be an integer or null")
-        permanent = list(map(is_not, settled, repeat(None)))
-        if list(map(_STATUS_IS_PERMANENT.get, status)) != permanent:
-            raise ValueError("a status is unknown or disagrees with its settled_round")
-        return list(map(self.row, value, map(tuple, preds), settled))
-
-    def round(self, item: dict) -> RoundRecord:
-        """Round k's record. Raises ValueError unless its index is k, it
-        relaxes from round k - 1's batch, each row it changes is one a
-        relaxation or settle writes given the rows before it, and it settles,
-        at round k, exactly its newly_permanent: at least one vertex, and
-        one under SINGLE_MIN."""
-        k = self.rounds_read = self.rounds_read + 1
-        round_index = _typed(item["round_index"], int)
-        frontier = self.vertices(item["frontier"])
-        rows = self.rows(item["labels"])
-        newly_permanent = self.vertices(item["newly_permanent"])
-        if round_index != k or frontier != self.batch:
-            raise ValueError("a round record disagrees with its position or the final settled rounds")
-        last = self.last_rows
-        changes = []
-        for v in compress(self.vertex_ids, map(ne, rows, last)):
-            row = rows[v - 1]
-            value, preds, _ = row
-            old_value, old_preds, old_settled = last[v - 1]
-            if old_settled is not None:
-                raise ValueError(f"round {k} changes vertex {v}'s permanent label")
-            # Equal value strings load as one Weight, so identity settles
-            # most equalities; "1" and "1.0" still need ==.
-            if value is not old_value and value < old_value:
-                kept = frozenset()
-            elif value is old_value or value == old_value:
-                kept = old_preds
-            else:
-                raise ValueError(f"round {k} raises vertex {v}'s value")
-            if not (value.is_finite and preds):
-                raise ValueError(f"round {k} gives vertex {v} no finite value or no predecessor")
-            added = preds - kept
-            if not (kept <= preds and added <= frontier):
-                raise ValueError(f"round {k} changes vertex {v}'s predecessors outside its frontier")
-            if any(not last[u - 1][0] < value for u in added):
-                raise ValueError(f"round {k} gives vertex {v} a predecessor not below its value")
-            changes.append((v, row))
-        settled = [(v, row[2]) for v, row in changes if row[2] is not None]
-        if settled != [(v, k) for v in sorted(newly_permanent)]:
-            raise ValueError(f"round {k}'s settled rounds disagree with the final ones")
-        if not newly_permanent:
-            raise ValueError(f"round {k} settles nothing")
-        if self.single_min and len(newly_permanent) > 1:
-            raise ValueError("a singlemin round settles more than one vertex")
-        record = RoundRecord(k, frontier, tuple(changes), newly_permanent, self.last)
-        self.last_rows, self.last, self.batch = rows, record, newly_permanent
-        return record
-
-    def check_end(self, trace: RunTrace) -> None:
-        """Raise ValueError unless only the source settles in round 0, the
-        final labels are the last round's, and terminated_early holds exactly
-        when the target settles in the last batch with some label left
-        temporary, and otherwise no temporary label is finite."""
-        final = trace.final_labels.rows()
-        if [v for v, (_, _, r) in enumerate(final, start=1) if r == 0] != [trace.source]:
-            raise ValueError("only the source settles in round 0")
-        if final != tuple(self.last_rows):
-            raise ValueError("final_labels are not the labels of the last round")
-        temporary = [value for value, _, r in final if r is None]
-        if trace.terminated_early and not (temporary and trace.target in self.batch):
-            raise ValueError("terminated_early, but the run does not stop when its target settles")
-        if not trace.terminated_early and any(value.is_finite for value in temporary):
-            raise ValueError("not terminated_early, but a temporary label is finite")
-
-
 def trace_from_json(text: str) -> RunTrace:
     """Inverse of :func:`trace_to_json`, in one walk over the rounds.
 
     Checks the decoded content of the keys a run writes: other keys are
     ignored, and a weight "1.0" loads as "1". Raises MalformedInput when
-    ``text`` is not JSON, lacks a key, holds a value of the wrong type, an
+    ``text`` is not JSON, lacks a key, or holds a value of the wrong type, an
     unknown strategy or status, an out-of-range vertex, a vertex list (a
     frontier, batch or predecessor set) that is not strictly ascending, or
-    label lists whose lengths differ; when a round breaks a rule of
-    ``_TraceLoader.round``, checked as it is read, so the first faulty round
-    is reported; or when a field it derives disagrees with the document: the
-    algorithm, either round count, the final distances, a status given its
-    settled_round, or the final labels given the last round's. Only the
-    source settles in round 0, and ``terminated_early`` must agree with the
-    target and the temporary labels. O(n + rounds + changes) beyond the
-    decoding and one comparison of each round's labels with the last.
+    label lists whose lengths differ; when a round breaks a rule below,
+    checked as it is read, so the first faulty round is reported; or when a
+    field it derives disagrees with the document: the algorithm, either round
+    count, the final distances, a status given its settled_round, or the
+    final labels given the last round's.
+
+    Round k's index is k, it relaxes from round k - 1's batch, each row it
+    changes is one a relaxation or settle writes given the rows before it,
+    and it settles, at round k, exactly its newly_permanent, the batch its
+    strategy settles: under SINGLE_MIN one vertex, with the settled (value,
+    vertex) pairs strictly increasing; under TIE_BATCH one value, strictly
+    increasing; under STABLE_BATCH the minimum tie class of the finite
+    temporary labels and each of them the round did not improve. Only the
+    source settles in round 0. ``terminated_early`` holds exactly when the
+    target settles in the last batch with some label left temporary, then
+    none finite at or below that batch in its strategy's order; otherwise no
+    temporary label is finite. O(n + rounds + changes) beyond the decoding
+    and one comparison of each round's labels with the last.
     """
     try:
         data = json.loads(text)
@@ -371,24 +258,129 @@ def trace_from_json(text: str) -> RunTrace:
             raise ValueError(f"final_distances has {len(final_distances)} entries, expected {n}")
         strategy = Strategy(data["strategy"])
         source = _vertex(n, data["source"])
-        load = _TraceLoader(n, source, strategy)
-        trace = RunTrace(
-            strategy=strategy,
-            source=source,
-            target=None if target is None else _vertex(n, target),
-            rounds=tuple(map(load.round, _typed(data["rounds"], list))),
-            final_labels=LabelState(load.rows(final_items)),
-            terminated_early=_typed(data["terminated_early"], bool),
-        )
+        target = None if target is None else _vertex(n, target)
+        # Equal weight strings, vertex lists and rows load as one object.
+        weight = cache(Weight.from_str)
+        vertex_set = cache(partial(_vertices, n))
+        row_of = cache(lambda value, preds, r: (weight(_typed(value, str)), vertex_set(preds), r))
+        vertex_ids = tuple(range(1, n + 1))
+
+        def vertices(items: list) -> frozenset[int]:
+            # Types are checked before the cache is asked: (True,) and (1.0,)
+            # equal (1,), so a hit would skip the check.
+            if not set(map(type, _typed(items, list))) <= {int}:
+                raise TypeError("vertices must be integers")
+            return vertex_set(tuple(items))
+
+        def label_rows(items: list) -> list:
+            if len(_typed(items, list)) != n:
+                raise ValueError(f"a label list has {len(items)} rows, expected {n}")
+            vertex, value, preds, status, settled = zip(*map(_ROW_FIELDS, items))
+            if vertex != vertex_ids or not set(map(type, vertex)) <= {int}:
+                raise ValueError("label rows must list vertices 1..n in order")
+            if not {type(p) for p in preds} <= {list}:
+                raise TypeError("predecessors must be lists")
+            if not set(map(type, chain.from_iterable(preds))) <= {int}:
+                raise TypeError("predecessors must be integers")
+            if not {type(r) for r in settled} <= {int, type(None)}:
+                raise TypeError("settled_round must be an integer or null")
+            permanent = list(map(is_not, settled, repeat(None)))
+            if list(map(_STATUS_IS_PERMANENT.get, status)) != permanent:
+                raise ValueError("a status is unknown or disagrees with its settled_round")
+            return list(map(row_of, value, map(tuple, preds), settled))
+
+        # Each round becomes its changes from the rows of the round before, as
+        # the engine records them, and is checked before the next is read.
+        # ``least`` ranks the last batch by (value, vertex) under SINGLE_MIN,
+        # by value under TIE_BATCH; ``unsettled``: STABLE_BATCH's finite ones.
+        initial = LabelState.initial(n, source)
+        last, record, batch = list(initial.rows()), initial, frozenset({source})
+        single_min = strategy is Strategy.SINGLE_MIN
+        least, unsettled, rounds = (Weight.zero(), 0), set(), []
+        for k, item in enumerate(_typed(data["rounds"], list), start=1):
+            round_index = _typed(item["round_index"], int)
+            frontier = vertices(item["frontier"])
+            rows = label_rows(item["labels"])
+            newly_permanent = vertices(item["newly_permanent"])
+            if round_index != k or frontier != batch:
+                raise ValueError(
+                    "a round record disagrees with its position or the final settled rounds"
+                )
+            changes = []
+            for v in compress(vertex_ids, map(ne, rows, last)):
+                value, preds, _ = row = rows[v - 1]
+                old_value, old_preds, old_settled = last[v - 1]
+                if old_settled is not None:
+                    raise ValueError(f"round {k} changes vertex {v}'s permanent label")
+                # Equal value strings load as one Weight, so identity settles
+                # most equalities; "1" and "1.0" still need ==.
+                if value is not old_value and value < old_value:
+                    kept = frozenset()
+                elif value is old_value or value == old_value:
+                    kept = old_preds
+                else:
+                    raise ValueError(f"round {k} raises vertex {v}'s value")
+                if not (value.is_finite and preds):
+                    raise ValueError(f"round {k} gives vertex {v} no finite value or no predecessor")
+                added = preds - kept
+                if not (kept <= preds and added <= frontier):
+                    raise ValueError(
+                        f"round {k} changes vertex {v}'s predecessors outside its frontier"
+                    )
+                if any(not last[u - 1][0] < value for u in added):
+                    raise ValueError(f"round {k} gives vertex {v} a predecessor not below its value")
+                changes.append((v, row))
+            settled = [(v, row[2]) for v, row in changes if row[2] is not None]
+            if settled != [(v, k) for v in sorted(newly_permanent)]:
+                raise ValueError(f"round {k}'s settled rounds disagree with the final ones")
+            if not newly_permanent:
+                raise ValueError(f"round {k} settles nothing")
+            if single_min and len(newly_permanent) > 1:
+                raise ValueError("a singlemin round settles more than one vertex")
+            if strategy is Strategy.STABLE_BATCH:
+                finite = unsettled.union([v for v, _ in changes])
+                minimum = min(rows[v - 1][0] for v in finite)
+                expected = {v for v in finite if rows[v - 1][0] in (minimum, last[v - 1][0])}
+                if expected != newly_permanent:
+                    v = min(expected ^ newly_permanent)
+                    raise ValueError(f"round {k}'s batch is not stablebatch's at vertex {v}")
+                unsettled = finite - newly_permanent
+            else:
+                value, v = min((rows[u - 1][0], u) for u in newly_permanent)
+                for u in sorted(newly_permanent):
+                    if rows[u - 1][0] != value:
+                        raise ValueError(f"round {k} settles vertex {u} at a second value")
+                if (value, v if single_min else 0) <= least:
+                    raise ValueError(f"round {k} settles vertex {v} at or below an earlier batch")
+                least = (value, v if single_min else 0)
+            record = RoundRecord(k, frontier, tuple(changes), newly_permanent, record)
+            rounds.append(record)
+            last, batch = rows, newly_permanent
+        final = label_rows(final_items)
+        terminated_early = _typed(data["terminated_early"], bool)
+        trace = RunTrace(strategy, source, target, tuple(rounds), LabelState(final), terminated_early)
         if data["algorithm"] != trace.algorithm:
-            raise ValueError(f"algorithm {data['algorithm']!r} is not that of {trace.strategy.value}")
+            raise ValueError(f"algorithm {data['algorithm']!r} is not that of {strategy.value}")
         if _typed(data["rounds_count"], int) != trace.rounds_count:
             raise ValueError(f"rounds_count is not the {trace.rounds_count} rounds listed")
         if _typed(data["rounds_count_incl_source"], int) != trace.rounds_count_incl_source:
             raise ValueError("rounds_count_incl_source is not rounds_count + 1")
-        if tuple(map(load.weight, final_distances)) != trace.final_distances:
+        if tuple(map(weight, final_distances)) != trace.final_distances:
             raise ValueError("final_distances disagree with the final_labels values")
-        load.check_end(trace)
+        if [v for v, (_, _, r) in enumerate(final, start=1) if r == 0] != [source]:
+            raise ValueError("only the source settles in round 0")
+        if final != last:
+            raise ValueError("final_labels are not the labels of the last round")
+        temporary = [(value, v) for v, (value, _, r) in enumerate(final, start=1) if r is None]
+        if terminated_early and not (temporary and target in batch):
+            raise ValueError("terminated_early, but the run does not stop when its target settles")
+        # A stop leaves every finite temporary label above the last batch,
+        # round k's (STABLE_BATCH's rounds were checked for that as read).
+        for value, v in filter(lambda pair: pair[0].is_finite, temporary):
+            if not terminated_early:
+                raise ValueError("not terminated_early, but a temporary label is finite")
+            if (value, v if single_min else 0) <= least:
+                raise ValueError(f"round {k} stops with vertex {v} temporary at or below its batch")
         return trace
     except KeyError as exc:
         raise MalformedInput(f"malformed trace: missing key {exc}") from None

@@ -40,7 +40,11 @@ class Weight:
         raise AttributeError("Weight is immutable")
 
     @classmethod
-    def finite(cls, value: int | str | Fraction) -> "Weight":
+    def finite(cls, value: int | str | Fraction | float) -> "Weight":
+        """An int, Fraction or float exactly, or a str in the grammar of
+        :meth:`from_token` but for ``INF``; ValueError for a str outside it."""
+        if isinstance(value, str) and value.upper() != "INF":
+            return cls.from_token(value)
         return cls(Fraction(value))
 
     @classmethod

@@ -291,6 +291,20 @@ class TestFromEdges:
         with pytest.raises(MalformedInput, match=r"^edge \(1,2\) has weight INF$"):
             Graph.from_edges(3, [(1, 2, weight)])
 
+    @pytest.mark.parametrize(
+        "weight",
+        ["abc", float("inf"), float("nan"), None, "1e5000000", "1/3", " 2 "],
+        ids=["letters", "float inf", "float nan", "None", "huge exponent", "fraction bar", "spaces"],
+    )
+    def test_an_unreadable_weight_is_malformed_input_naming_the_edge(self, weight):
+        # a str reads by the graph-file grammar, so an exponent is refused
+        # before any integer is built
+        started = time.perf_counter()
+        message = re.escape(f"edge (1,2) has unreadable weight {weight!r}")
+        with pytest.raises(MalformedInput, match=f"^{message}$"):
+            Graph.from_edges(3, [(1, 2, weight)])
+        assert time.perf_counter() - started < 0.1
+
     def test_negative_weight_error_names_the_edge(self):
         with pytest.raises(NegativeOrZeroWeight, match=r"^edge \(1,2\) has non-positive weight -1$"):
             Graph.from_edges(3, [(1, 2, -1)])

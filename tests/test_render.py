@@ -635,6 +635,25 @@ def test_the_first_faulty_round_is_reported(paper8):
         trace_from_json(json.dumps(doc))
 
 
+def _swapped_settles(doc: dict, u: int, v: int) -> dict:
+    """``doc`` with vertices u and v trading settles: in every label list
+    each takes the other's status and settled round, and every frontier and
+    batch names the other."""
+    other = {u: v, v: u}
+
+    def swapped(labels):
+        by_vertex = {row["vertex"]: row for row in labels}
+        return [{**row, **{key: by_vertex[other.get(row["vertex"], row["vertex"])][key]
+                           for key in ("status", "settled_round")}} for row in labels]
+
+    def renamed(vertices):
+        return sorted(other.get(x, x) for x in vertices)
+
+    rounds = [{**r, "frontier": renamed(r["frontier"]), "labels": swapped(r["labels"]),
+               "newly_permanent": renamed(r["newly_permanent"])} for r in doc["rounds"]]
+    return {**doc, "rounds": rounds, "final_labels": swapped(doc["final_labels"])}
+
+
 @pytest.mark.parametrize("make, message", [
     pytest.param(
         lambda paper8, tie4: _with_empty_round(_document(run_classic(paper8, 1)), 3),
@@ -666,6 +685,50 @@ def test_the_first_faulty_round_is_reported(paper8):
         },
         "not terminated_early, but a temporary label is finite",
         id="stopped_run_not_terminated_early",
+    ),
+    pytest.param(
+        lambda paper8, tie4: {
+            **_cut_after(_swapped_settles(_document(run_classic(paper8, 1)), 2, 3), 1),
+            "target": 3, "terminated_early": True,
+        },
+        "round 1 stops with vertex 2 temporary at or below its batch",
+        id="classic_stops_above_a_temporary_label",
+    ),
+    pytest.param(
+        lambda paper8, tie4: {
+            **_document(run_classic(tie4, 1)), "strategy": "tiebatch", "algorithm": "modified"
+        },
+        "round 2 settles vertex 3 at or below an earlier batch",
+        id="classic_relabelled_tiebatch",
+    ),
+    pytest.param(
+        lambda paper8, tie4: {
+            **_document(run_modified(paper8, 1, strategy=Strategy.STABLE_BATCH)), "strategy": "tiebatch"
+        },
+        "round 4 settles vertex 6 at a second value",
+        id="stablebatch_relabelled_tiebatch",
+    ),
+    pytest.param(
+        lambda paper8, tie4: {**_document(run_modified(paper8, 1)), "strategy": "stablebatch"},
+        "round 4's batch is not stablebatch's at vertex 6",
+        id="tiebatch_relabelled_stablebatch",
+    ),
+    pytest.param(
+        lambda paper8, tie4: _swapped_settles(
+            _document(run_classic(Graph.from_edges(3, [(1, 2, 1), (1, 3, 1)]), 1)), 2, 3
+        ),
+        "round 2 settles vertex 2 at or below an earlier batch",
+        id="classic_settles_a_tie_out_of_vertex_order",
+    ),
+    pytest.param(
+        # round 1 improves both vertices it relaxes, so stablebatch settles
+        # only the minimum, vertex 2
+        lambda paper8, tie4: _with_round(
+            _with_vertex_rows(_paper8_document(paper8), 3, status="permanent", settled_round=1),
+            0, newly_permanent=[2, 3],
+        ),
+        "round 1's batch is not stablebatch's at vertex 3",
+        id="stablebatch_settles_an_improved_label",
     ),
 ])
 def test_a_document_no_run_writes_is_malformed_input(paper8, tie4, make, message):
