@@ -39,6 +39,8 @@ class GraphSpec:
     seed: int
 
     def __post_init__(self):
+        if not type(self.n) is type(self.weight_lo) is type(self.weight_hi) is int:
+            raise ValueError("n, weight_lo and weight_hi must be ints")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.n > MAX_VERTICES:

@@ -34,7 +34,9 @@ off-diagonal pairs get INFINITY.
 
 Counts (the matrix's n, the edge list's n and m) and endpoints are ASCII
 integers, ``[+-]?[0-9]+``: underscores and non-ASCII digits are malformed
-there too.
+there too. In the API, vertex ids and counts are ``int`` (a ``bool`` is
+refused): a vertex count that is not an int of at least 1 raises
+MalformedInput, and a vertex id that is not an int in 1..n VertexOutOfRange.
 """
 
 from __future__ import annotations
@@ -91,8 +93,8 @@ class Graph:
 
     def weight(self, u: int, v: int) -> Weight:
         """Matrix entry (u, v): zero on the diagonal, INFINITY for no edge."""
-        check_vertex(self, u)
-        check_vertex(self, v)
+        check_vertex(self.n, u)
+        check_vertex(self.n, v)
         if u == v:
             return Weight.zero()
         # The probe (v,) sorts just before (v, w), so no two Weights compare.
@@ -135,17 +137,19 @@ class Graph:
         A weight is a Weight, an int, Fraction or float, or a str in the
         graph-file grammar (``Weight.finite``). Edges are checked in order,
         and the first bad one raises VertexOutOfRange, SelfLoop,
-        DuplicateEdge, MalformedInput (any other weight, or INFINITY) or
-        NegativeOrZeroWeight. Raises MalformedInput below one vertex and
-        GraphTooLarge above ``MAX_SPARSE_VERTICES``.
+        DuplicateEdge, MalformedInput (an item that is no triple, any other
+        weight, or INFINITY) or NegativeOrZeroWeight. Raises MalformedInput
+        below one vertex and GraphTooLarge above ``MAX_SPARSE_VERTICES``.
         """
-        if n < 1:
-            raise MalformedInput(f"vertex count must be >= 1, got {n}")
-        check_size(n, MAX_SPARSE_VERTICES)
+        _check_count(n, MAX_SPARSE_VERTICES)
         out: list[dict[int, Weight]] = [{} for _ in range(n)]
-        for u, v, w in edges:
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise VertexOutOfRange(f"edge ({u},{v}) outside 1..{n}")
+        for edge in edges:
+            try:
+                u, v, w = edge
+            except (TypeError, ValueError):
+                raise MalformedInput(f"edge {edge!r} is not a (u, v, weight) triple") from None
+            if not (type(u) is type(v) is int and 1 <= u <= n and 1 <= v <= n):
+                raise VertexOutOfRange(f"edge ({u!r},{v!r}) outside 1..{n}")
             if u == v:
                 raise SelfLoop(f"self loop at vertex {u}")
             row = out[u - 1]
@@ -164,9 +168,17 @@ class Graph:
         return cls(n, tuple(tuple(sorted(row.items())) for row in out))
 
 
-def check_vertex(g: Graph, v: int) -> None:
-    if not 1 <= v <= g.n:
-        raise VertexOutOfRange(f"vertex {v} outside 1..{g.n}")
+def check_vertex(n: int, v: int) -> int:
+    """``v`` if it is an ``int`` (not a ``bool``) in 1..n; VertexOutOfRange otherwise."""
+    if type(v) is not int or not 1 <= v <= n:
+        raise VertexOutOfRange(f"vertex {v!r} outside 1..{n}")
+    return v
+
+
+def _check_count(n: int, limit: int) -> None:
+    if type(n) is not int or n < 1:
+        raise MalformedInput(f"vertex count must be >= 1, got {n!r}")
+    check_size(n, limit)
 
 
 def check_size(count: int, limit: int = MAX_VERTICES, what: str = "vertices") -> None:
@@ -198,9 +210,7 @@ def parse_matrix_text(text: str) -> Graph:
         n = _ascii_int(tokens[0])
     except ValueError:
         raise MalformedInput(f"vertex count is not an integer: {tokens[0]!r}") from None
-    if n < 1:
-        raise MalformedInput(f"vertex count must be >= 1, got {n}")
-    check_size(n)
+    _check_count(n, MAX_VERTICES)
     entries = tokens[1:]
     if len(entries) != n * n:
         raise MalformedInput(f"expected {n * n} matrix entries, found {len(entries)}")
@@ -257,8 +267,7 @@ def parse_edge_list(text: str) -> Graph:
         n, m = _ascii_int(header[0]), _ascii_int(header[1])
     except ValueError:
         raise MalformedInput(f"header must be two integers, got {lines[0]!r}") from None
-    if n < 1:
-        raise MalformedInput(f"vertex count must be >= 1, got {n}")
+    _check_count(n, MAX_SPARSE_VERTICES)
     if m < 0:
         raise MalformedInput(f"edge count must be >= 0, got {m}")
     check_size(m, MAX_EDGES, "edges")

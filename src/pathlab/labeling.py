@@ -51,7 +51,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from operator import itemgetter
 
-from .errors import FrontierNotPermanent, VertexOutOfRange
+from .errors import FrontierNotPermanent
 from .graph import Graph, check_vertex
 from .weights import INFINITY, Weight
 
@@ -211,7 +211,7 @@ class RunTrace:
 
 def init_labels(g: Graph, source: int) -> LabelState:
     """Source permanent at zero, every other vertex temporary at INFINITY."""
-    check_vertex(g, source)
+    check_vertex(g.n, source)
     return LabelState.initial(g.n, source)
 
 
@@ -227,9 +227,7 @@ def relax_step(
     temporary vertex takes the minimum over the whole frontier at once.
     """
     for i in frontier:
-        if not 1 <= i <= g.n:
-            raise VertexOutOfRange(f"frontier vertex {i} outside 1..{g.n}")
-        if not labels.is_permanent(i):
+        if not labels.is_permanent(check_vertex(g.n, i)):
             raise FrontierNotPermanent(f"frontier vertex {i} is not permanent")
     rows = list(labels.rows())
     changed: set[int] = set()
@@ -325,9 +323,9 @@ def _run(
     stop_at_target: bool,
     strategy: Strategy,
 ) -> RunTrace:
-    check_vertex(g, source)
+    check_vertex(g.n, source)
     if target is not None:
-        check_vertex(g, target)
+        check_vertex(g.n, target)
     initial = LabelState.initial(g.n, source)
     rows = list(initial.rows())
     scale, scaled = g.scaled_weights

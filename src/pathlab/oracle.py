@@ -50,7 +50,7 @@ def bellman_ford(g: Graph, source: int) -> OracleResult:
     yet, and a sweep that changes nothing ends the run. Sums are exact
     integers, from :func:`_scaled_weights`.
     """
-    check_vertex(g, source)
+    check_vertex(g.n, source)
     scale, scaled = _scaled_weights(g)
     tails = [
         (u, [(v - 1, scaled[id(w)]) for v, w in out])
@@ -96,8 +96,7 @@ def enumerate_min_path(
     """
     if g.n > MAX_ENUMERATION_VERTICES:
         raise GraphTooLarge(f"enumeration limited to n <= {MAX_ENUMERATION_VERTICES}")
-    check_vertex(g, source)
-    check_vertex(g, target)
+    direct = g.weight(source, target)  # checks both vertex ids
     if source == target:
         return Weight.zero(), Route((source,), Weight.zero())
 
@@ -107,7 +106,6 @@ def enumerate_min_path(
     # weigh at most the largest weight, so it stands for INFINITY in the cut.
     best = max(scaled.values(), default=0) * g.n + 1
     best_vertices: tuple[int, ...] | None = None
-    direct = g.weight(source, target)
     if direct.is_finite:
         best = scaled[id(direct)]
         best_vertices = (source, target)

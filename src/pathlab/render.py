@@ -34,8 +34,8 @@ from operator import is_not, itemgetter, ne
 from typing import Callable, Iterator
 
 from .bench import ComparisonRecord, RunReport
-from .errors import MalformedInput
-from .graph import MAX_VERTICES, check_size
+from .errors import MalformedInput, VertexOutOfRange
+from .graph import MAX_VERTICES, check_size, check_vertex
 from .labeling import LabelState, RoundRecord, RunTrace, Strategy
 from .oracle import OracleResult
 from .tree import TreeMatrix
@@ -206,14 +206,8 @@ def _typed(value, kind: type):
     return value
 
 
-def _vertex(n: int, value) -> int:
-    if not 1 <= _typed(value, int) <= n:
-        raise ValueError(f"vertex {value} outside 1..{n}")
-    return value
-
-
 def _vertices(n: int, values: tuple) -> frozenset[int]:
-    vertices = frozenset(_vertex(n, v) for v in values)
+    vertices = frozenset(check_vertex(n, v) for v in values)
     if list(values) != sorted(vertices):
         raise ValueError(f"vertex list {list(values)} is not strictly ascending")
     return vertices
@@ -257,8 +251,8 @@ def trace_from_json(text: str) -> RunTrace:
         if len(final_distances) != n:
             raise ValueError(f"final_distances has {len(final_distances)} entries, expected {n}")
         strategy = Strategy(data["strategy"])
-        source = _vertex(n, data["source"])
-        target = None if target is None else _vertex(n, target)
+        source = check_vertex(n, _typed(data["source"], int))
+        target = None if target is None else check_vertex(n, _typed(target, int))
         # Equal weight strings, vertex lists and rows load as one object.
         weight = cache(Weight.from_str)
         vertex_set = cache(partial(_vertices, n))
@@ -384,7 +378,7 @@ def trace_from_json(text: str) -> RunTrace:
         return trace
     except KeyError as exc:
         raise MalformedInput(f"malformed trace: missing key {exc}") from None
-    except (TypeError, ValueError, RecursionError) as exc:
+    except (TypeError, ValueError, RecursionError, VertexOutOfRange) as exc:
         raise MalformedInput(f"malformed trace: {exc}") from None
 
 

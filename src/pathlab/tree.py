@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MalformedInput, VertexOutOfRange
-from .graph import Graph
+from .errors import MalformedInput
+from .graph import Graph, check_vertex
 from .labeling import RunTrace
 from .weights import INFINITY, Weight
 
@@ -76,9 +76,7 @@ def build_tree_matrix(g: Graph, trace: RunTrace) -> TreeMatrix:
 def extract_path(t: TreeMatrix, target: int) -> Route:
     """Walk parent links from target back to the source and sum the edges.
     Raises MalformedInput when the links from target loop."""
-    if not (1 <= target <= t.n):
-        raise VertexOutOfRange(f"vertex {target} outside 1..{t.n}")
-    chain = [target]
+    chain = [check_vertex(t.n, target)]
     current = target
     while current != t.source:
         parent = t.parents[current - 1]
