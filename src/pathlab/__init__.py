@@ -27,12 +27,7 @@ from .errors import (
     SelfLoop,
     VertexOutOfRange,
 )
-from .graph import (
-    Graph,
-    parse_edge_list,
-    parse_matrix_text,
-    to_matrix_text,
-)
+from .graph import Graph, parse_edge_list, parse_matrix_text
 from .labeling import (
     LabelState,
     RoundRecord,
@@ -50,7 +45,7 @@ from .oracle import (
     bellman_ford,
     enumerate_min_path,
 )
-from .render import report_to_csv, report_to_json
+from .render import report_to_csv, report_to_json, to_matrix_text
 from .tree import Route, TreeMatrix, build_tree_matrix, extract_path
 from .weights import INFINITY, Weight
 

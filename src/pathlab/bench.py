@@ -41,6 +41,8 @@ class GraphSpec:
     def __post_init__(self):
         if not type(self.n) is type(self.weight_lo) is type(self.weight_hi) is int:
             raise ValueError("n, weight_lo and weight_hi must be ints")
+        if {type(self.density), type(self.tie_bias)} - {int, float} or type(self.seed) is not int:
+            raise ValueError("density and tie_bias must be ints or floats, and seed an int")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.n > MAX_VERTICES:

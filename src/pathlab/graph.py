@@ -5,20 +5,21 @@ each weight exact and strictly positive. Vertex ids are 1-based everywhere in
 the public API. The matrix view, whose entry (i, j) is the weight of edge
 i -> j, zero on the diagonal and INFINITY where no edge exists, is derived:
 :meth:`Graph.weight` reads one entry in O(log out-degree) by bisecting u's
-out-edges, and :attr:`Graph.weights` builds the whole matrix only for callers
-that print it. So an edge list costs O(n + m) to parse and to store, and a
-matrix file O(n²) only because it has n² tokens. :attr:`Graph.scaled_weights`
-holds one exact integer per distinct weight, scaled by the lcm of the weight
+out-edges, :attr:`Graph.weights` caches the whole matrix for callers that
+read it whole, and :func:`pathlab.render.to_matrix_text` writes it a row at
+a time. So an edge list costs O(n + m) to parse and to store, and a matrix
+file O(n²) only because it has n² tokens. :attr:`Graph.scaled_weights` holds
+one exact integer per distinct weight, scaled by the lcm of the weight
 denominators, built once per graph for the labeling engine.
 
 Each input form has one checking path. ``Graph(n, adjacency)`` is the
 trusted constructor for code that already holds the invariants (the random
-generator, the parsers): it checks the shape, not the weights.
-:meth:`Graph.from_edges` checks every edge and is the path of edge lists,
-parsed or programmatic. :func:`parse_matrix_text` checks the matrix file it
-reads. Before allocating, matrix files and the matrix view refuse n above
-``MAX_VERTICES``, and edge lists refuse more than ``MAX_SPARSE_VERTICES``
-vertices or ``MAX_EDGES`` edges.
+generator, the parsers): it checks the count and shape (MalformedInput), not
+the edges. :meth:`Graph.from_edges` checks every edge and is the path of
+edge lists, parsed or programmatic. :func:`parse_matrix_text` checks the
+matrix file it reads. Before allocating, matrix files and both matrix views
+refuse n above ``MAX_VERTICES``, and edge lists refuse more than
+``MAX_SPARSE_VERTICES`` vertices or ``MAX_EDGES`` edges.
 
 File formats
 ------------
@@ -60,9 +61,9 @@ from .errors import (
 from .weights import INFINITY, Weight
 
 # Most vertices of a graph held, or shown, as an n-by-n matrix: matrix files,
-# generated graphs, ``Graph.weights`` and the printed tree matrix. At the cap a
-# matrix of references takes about 0.8 s and 260 MiB to build (CPython 3.11 on
-# a 2-vCPU VM).
+# generated graphs, ``Graph.weights`` and the two written matrices, which
+# ``pathlab.render`` builds a row at a time. At the cap a matrix of references
+# takes about 0.8 s and 260 MiB to build (CPython 3.11 on a 2-vCPU VM).
 MAX_VERTICES = 4000
 # Budgets of edge lists, which cost about 100 bytes per edge and 200 per
 # vertex to store.
@@ -83,10 +84,9 @@ class Graph:
     adjacency: tuple[tuple[tuple[int, Weight], ...], ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("graph needs at least one vertex")
-        if len(self.adjacency) != self.n:
-            raise ValueError(f"adjacency must list {self.n} vertices")
+        _check_count(self.n, MAX_SPARSE_VERTICES)
+        if type(self.adjacency) is not tuple or len(self.adjacency) != self.n:
+            raise MalformedInput(f"adjacency must be a tuple of {self.n} rows")
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
@@ -139,9 +139,14 @@ class Graph:
         and the first bad one raises VertexOutOfRange, SelfLoop,
         DuplicateEdge, MalformedInput (an item that is no triple, any other
         weight, or INFINITY) or NegativeOrZeroWeight. Raises MalformedInput
-        below one vertex and GraphTooLarge above ``MAX_SPARSE_VERTICES``.
+        below one vertex or when ``edges`` is not iterable, and GraphTooLarge
+        above ``MAX_SPARSE_VERTICES``.
         """
         _check_count(n, MAX_SPARSE_VERTICES)
+        try:
+            edges = iter(edges)
+        except TypeError:
+            raise MalformedInput(f"edges must be an iterable of triples, got {edges!r}") from None
         out: list[dict[int, Weight]] = [{} for _ in range(n)]
         for edge in edges:
             try:
@@ -311,14 +316,3 @@ def _parsed_edges(lines: list[str]) -> Iterator[tuple[int, int, Weight]]:
             raise MalformedInput(f"edge line {line!r}: weight must be finite")
         yield u, v, w
 
-
-def to_matrix_text(g: Graph) -> str:
-    """Serialize in the matrix format.
-
-    Round-trips through parse_matrix_text when every weight is a decimal
-    literal of at most ``MAX_TOKEN_DIGITS`` digits, as in any parsed graph.
-    """
-    lines = [str(g.n)]
-    for i in g.vertices():
-        lines.append(" ".join(str(w) for w in g.weights[i - 1]))
-    return "\n".join(lines) + "\n"

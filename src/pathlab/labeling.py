@@ -51,7 +51,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from operator import itemgetter
 
-from .errors import FrontierNotPermanent
+from .errors import FrontierNotPermanent, MalformedInput
 from .graph import Graph, check_vertex
 from .weights import INFINITY, Weight
 
@@ -225,7 +225,10 @@ def relax_step(
     new frontier vertex extends the predecessor set without counting as a
     change. The result does not depend on frontier iteration order: every
     temporary vertex takes the minimum over the whole frontier at once.
+    Raises MalformedInput when the frontier is not a set.
     """
+    if not isinstance(frontier, (set, frozenset)):
+        raise MalformedInput(f"frontier must be a set of vertex ids, got {frontier!r}")
     for i in frontier:
         if not labels.is_permanent(check_vertex(g.n, i)):
             raise FrontierNotPermanent(f"frontier vertex {i} is not permanent")

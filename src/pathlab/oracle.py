@@ -46,27 +46,22 @@ def _scaled_weights(g: Graph) -> tuple[int, dict[int, int]]:
 def bellman_ford(g: Graph, source: int) -> OracleResult:
     """Exact single-source distances via at most n-1 full relaxation sweeps.
 
-    Each sweep walks the edges in row-major order, skipping tails not reached
-    yet, and a sweep that changes nothing ends the run. Sums are exact
-    integers, from :func:`_scaled_weights`.
+    Each sweep walks ``g.adjacency`` in row-major order, skipping vertices not
+    reached yet, and a sweep that changes nothing ends the run. Sums are exact
+    integers, from :func:`_scaled_weights`, looked up per edge.
     """
     check_vertex(g.n, source)
     scale, scaled = _scaled_weights(g)
-    tails = [
-        (u, [(v - 1, scaled[id(w)]) for v, w in out])
-        for u, out in enumerate(g.adjacency)
-        if out
-    ]
-    dist: list[int | None] = [None] * g.n
-    dist[source - 1] = 0
+    dist: list[int | None] = [None] * (g.n + 1)  # vertex v at index v
+    dist[source] = 0
     for _ in range(g.n - 1):
         improved = False
-        for u, out in tails:
+        for u, out in enumerate(g.adjacency, start=1):
             base = dist[u]
             if base is None:
                 continue
             for v, w in out:
-                candidate = base + w
+                candidate = base + scaled[id(w)]
                 old = dist[v]
                 if old is None or candidate < old:
                     dist[v] = candidate
@@ -75,7 +70,7 @@ def bellman_ford(g: Graph, source: int) -> OracleResult:
             break
     return OracleResult(
         # a list gives tuple() its size (see LabelState.distances)
-        tuple([INFINITY if d is None else Weight(Fraction(d, scale)) for d in dist])
+        tuple([INFINITY if d is None else Weight(Fraction(d, scale)) for d in dist[1:]])
     )
 
 

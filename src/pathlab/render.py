@@ -1,7 +1,8 @@
-"""Deterministic text and structured renderings of runs, trees, and reports.
+"""Deterministic text and structured renderings of graphs, runs, trees, reports.
 
-Every document pathlab writes is written here, bench's CSV and JSON reports
-included. The JSON writers build ``json.dumps(..., indent=2)`` bytes directly
+Every document pathlab writes is written here: traces, bench's reports, and
+the matrices of a graph and of a tree, which one writer builds a row at a
+time. The JSON writers build ``json.dumps(..., indent=2)`` bytes directly
 and encode each kind of value one way: ints by f-string, bools by
 ``_bool_str``, weight arrays by ``_json_strings`` and known-ASCII strings
 quoted as they are; ``json.dumps`` writes only values whose text depends on
@@ -31,11 +32,11 @@ from fractions import Fraction
 from functools import cache, partial
 from itertools import chain, compress, repeat
 from operator import is_not, itemgetter, ne
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .bench import ComparisonRecord, RunReport
 from .errors import MalformedInput, VertexOutOfRange
-from .graph import MAX_VERTICES, check_size, check_vertex
+from .graph import MAX_VERTICES, Graph, check_size, check_vertex
 from .labeling import LabelState, RoundRecord, RunTrace, Strategy
 from .oracle import OracleResult
 from .tree import TreeMatrix
@@ -382,17 +383,37 @@ def trace_from_json(text: str) -> RunTrace:
         raise MalformedInput(f"malformed trace: {exc}") from None
 
 
+def _matrix_text(n: int, fill: str, rows: Iterable[Iterable[tuple[int, str]]]) -> str:
+    """The matrix format, built one row at a time: n, then for each item of
+    ``rows`` n tokens, ``fill`` but at its 0-based ``(column, token)`` cells.
+    Raises GraphTooLarge above ``MAX_VERTICES`` before reading ``rows``."""
+    check_size(n)
+    lines = [str(n)]
+    for cells in rows:
+        row = [fill] * n
+        for j, token in cells:
+            row[j] = token
+        lines.append(" ".join(row))
+    return "\n".join([*lines, ""])  # not join + "\n", which copies the text once more
+
+
+def to_matrix_text(g: Graph) -> str:
+    """Serialize in the matrix format; GraphTooLarge above ``MAX_VERTICES``.
+    Round-trips through parse_matrix_text when every weight is a decimal
+    literal of at most ``MAX_TOKEN_DIGITS`` digits, as in any parsed graph."""
+    rows = ([(u, "0")] + [(v - 1, str(w)) for v, w in out] for u, out in enumerate(g.adjacency))
+    return _matrix_text(g.n, "INF", rows)
+
+
 def render_tree_matrix(t: TreeMatrix) -> str:
     """Matrix-format rendering: n, then rows of weights with 0 for no link.
-
-    Raises GraphTooLarge above ``MAX_VERTICES``.
-    """
-    check_size(t.n)
-    rows = [["0"] * t.n for _ in range(t.n)]
+    Raises GraphTooLarge above ``MAX_VERTICES``."""
+    check_size(t.n)  # before the O(n) grouping below
+    children: list[list[tuple[int, str]]] = [[] for _ in range(t.n)]
     for v, (u, w) in enumerate(zip(t.parents, t.parent_weights)):
         if u is not None:
-            rows[u - 1][v] = str(w)
-    return "\n".join([str(t.n)] + [" ".join(row) for row in rows]) + "\n"
+            children[u - 1].append((v, str(w)))
+    return _matrix_text(t.n, "0", children)
 
 
 def render_oracle_text(result: OracleResult) -> str:

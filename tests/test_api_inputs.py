@@ -1,5 +1,6 @@
-"""Every public entry point refuses a bad vertex id, vertex count or edge item
-with a PathlabError, and GraphSpec refuses non-int sizes with a ValueError."""
+"""Every public entry point refuses a bad vertex id, vertex count, edge item,
+adjacency or collection argument with a PathlabError, and GraphSpec refuses a
+field of the wrong type with a ValueError."""
 
 from __future__ import annotations
 
@@ -92,3 +93,56 @@ def test_graph_spec_refuses_a_size_that_is_no_int(field, value):
     fields = dict(n=4, density=0.5, weight_lo=1, weight_hi=9, tie_bias=0.0, seed=1)
     with pytest.raises(ValueError, match="^n, weight_lo and weight_hi must be ints$"):
         GraphSpec(**{**fields, field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        pytest.param(field, value, id=f"{field}-{value!r}")
+        for field, values in {
+            "density": ["0.5", True, None],
+            "tie_bias": ["0", False, None],
+            "seed": [1.5, 1.0, None, True, "1"],
+        }.items()
+        for value in values
+    ],
+)
+def test_graph_spec_refuses_a_density_tie_bias_or_seed_of_another_type(field, value):
+    fields = dict(n=4, density=0.5, weight_lo=1, weight_hi=9, tie_bias=0.0, seed=1)
+    message = "^density and tie_bias must be ints or floats, and seed an int$"
+    with pytest.raises(ValueError, match=message):
+        GraphSpec(**{**fields, field: value})
+
+
+def test_graph_spec_takes_an_int_or_float_density_and_tie_bias():
+    assert GraphSpec(4, 1, 1, 9, 0, 1) == GraphSpec(4, 1.0, 1, 9, 0.0, 1)
+
+
+@pytest.mark.parametrize("edges", [None, 5], ids=repr)
+def test_edges_that_are_not_iterable_are_refused_by_name(edges):
+    with pytest.raises(MalformedInput, match=f"^edges must be an iterable of triples, got {edges!r}$"):
+        Graph.from_edges(2, edges)
+
+
+@pytest.mark.parametrize("frontier", [None, 5], ids=repr)
+def test_a_frontier_that_is_not_a_set_is_refused_by_name(frontier):
+    message = f"^frontier must be a set of vertex ids, got {frontier!r}$"
+    with pytest.raises(MalformedInput, match=message):
+        relax_step(GRAPH, init_labels(GRAPH, 1), frontier)
+
+
+@pytest.mark.parametrize(
+    "n, adjacency, message",
+    [
+        (True, ((),), "vertex count must be >= 1, got True"),
+        (1.0, ((),), "vertex count must be >= 1, got 1.0"),
+        (0, (), "vertex count must be >= 1, got 0"),
+        (2, ((),), "adjacency must be a tuple of 2 rows"),
+        (2, None, "adjacency must be a tuple of 2 rows"),
+        (1, [()], "adjacency must be a tuple of 1 rows"),
+    ],
+    ids=repr,
+)
+def test_the_trusted_constructor_refuses_a_bad_count_or_shape(n, adjacency, message):
+    with pytest.raises(MalformedInput, match=f"^{re.escape(message)}$"):
+        Graph(n, adjacency)

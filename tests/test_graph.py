@@ -313,8 +313,7 @@ class TestFromEdges:
     def test_fewer_than_one_vertex_is_malformed_input(self, n):
         with pytest.raises(MalformedInput, match=f"^vertex count must be >= 1, got {n}$"):
             Graph.from_edges(n, [])
-        # the trusted constructor checks its own invariant, not input
-        with pytest.raises(ValueError, match="^graph needs at least one vertex$"):
+        with pytest.raises(MalformedInput, match=f"^vertex count must be >= 1, got {n}$"):
             Graph(n, ())
 
     @pytest.mark.parametrize(
@@ -397,15 +396,23 @@ class TestSerialization:
     def test_round_trip_random(self, g):
         assert parse_matrix_text(to_matrix_text(g)) == g
 
+    @given(graphs(max_n=8, weights=exact_weights))
+    def test_matrix_text_is_the_dense_view_and_caches_nothing(self, g):
+        before = dict(vars(g))
+        text = to_matrix_text(g)
+        assert vars(g) == before
+        rows = [" ".join(map(str, row)) for row in g.weights]
+        assert text == "\n".join([str(g.n)] + rows) + "\n"
+
     @given(graphs())
     def test_serialized_graphs_validate_ok(self, g):
         assert validate(parse_matrix_text(to_matrix_text(g)).weights) == []
 
 
 def test_graph_shape_is_checked():
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedInput):
         Graph(0, ())
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedInput):
         Graph(2, ((),))
 
 
