@@ -68,6 +68,8 @@ def _derived_seed(seed: int, index: int) -> int:
 
 def generate_graph(spec: GraphSpec, index: int) -> Graph:
     """Deterministic function of (spec, index); always a valid graph."""
+    if type(index) is not int:
+        raise ValueError(f"index must be an int, got {index!r}")
     rng = random.Random(_derived_seed(spec.seed, index))
     # One Weight per distinct value, as the parsers keep one per token.
     weight_of: dict[int, Weight] = {}
@@ -222,6 +224,8 @@ def run_suite(
     source: int = 1,
 ) -> RunReport:
     """Generate, compare, and aggregate; deterministic given specs and seeds."""
+    if type(graphs_per_spec) is not int:
+        raise ValueError(f"graphs_per_spec must be an int, got {graphs_per_spec!r}")
     if graphs_per_spec < 0:
         raise ValueError("graphs_per_spec must be >= 0")
     records = []

@@ -5,12 +5,12 @@ each weight exact and strictly positive. Vertex ids are 1-based everywhere in
 the public API. The matrix view, whose entry (i, j) is the weight of edge
 i -> j, zero on the diagonal and INFINITY where no edge exists, is derived:
 :meth:`Graph.weight` reads one entry in O(log out-degree) by bisecting u's
-out-edges, :attr:`Graph.weights` caches the whole matrix for callers that
-read it whole, and :func:`pathlab.render.to_matrix_text` writes it a row at
-a time. So an edge list costs O(n + m) to parse and to store, and a matrix
-file O(n²) only because it has n² tokens. :attr:`Graph.scaled_weights` holds
-one exact integer per distinct weight, scaled by the lcm of the weight
-denominators, built once per graph for the labeling engine.
+out-edges, :attr:`Graph.weights` builds the whole matrix on each read, and
+:func:`pathlab.render.to_matrix_text` writes it a row at a time. So an edge
+list costs O(n + m) to parse and to store, and a matrix file O(n²) only
+because it has n² tokens. :attr:`Graph.scaled_weights` holds one exact
+integer per distinct weight, scaled by the lcm of the weight denominators,
+built once per graph for the labeling engine.
 
 Each input form has one checking path. ``Graph(n, adjacency)`` is the
 trusted constructor for code that already holds the invariants (the random
@@ -18,8 +18,8 @@ generator, the parsers): it checks the count and shape (MalformedInput), not
 the edges. :meth:`Graph.from_edges` checks every edge and is the path of
 edge lists, parsed or programmatic. :func:`parse_matrix_text` checks the
 matrix file it reads. Before allocating, matrix files and both matrix views
-refuse n above ``MAX_VERTICES``, and edge lists refuse more than
-``MAX_SPARSE_VERTICES`` vertices or ``MAX_EDGES`` edges.
+refuse n above ``MAX_VERTICES``, and edge lists, parsed or programmatic,
+refuse more than ``MAX_SPARSE_VERTICES`` vertices or ``MAX_EDGES`` edges.
 
 File formats
 ------------
@@ -45,7 +45,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import compress
+from itertools import compress, islice
 from math import lcm
 from typing import Iterable, Iterator
 
@@ -102,9 +102,9 @@ class Graph:
         i = bisect_left(out, (v,))
         return out[i][1] if i < len(out) and out[i][0] == v else INFINITY
 
-    @cached_property
+    @property
     def weights(self) -> tuple[tuple[Weight, ...], ...]:
-        """The n-by-n matrix; raises GraphTooLarge above ``MAX_VERTICES``."""
+        """The n-by-n matrix, built anew on each read; GraphTooLarge above ``MAX_VERTICES``."""
         check_size(self.n)
         zero = Weight.zero()
         return tuple(
@@ -137,10 +137,10 @@ class Graph:
         A weight is a Weight, an int, Fraction or float, or a str in the
         graph-file grammar (``Weight.finite``). Edges are checked in order,
         and the first bad one raises VertexOutOfRange, SelfLoop,
-        DuplicateEdge, MalformedInput (an item that is no triple, any other
-        weight, or INFINITY) or NegativeOrZeroWeight. Raises MalformedInput
-        below one vertex or when ``edges`` is not iterable, and GraphTooLarge
-        above ``MAX_SPARSE_VERTICES``.
+        DuplicateEdge, MalformedInput (an item that is no triple, a ``bool``
+        or any other weight, or INFINITY) or NegativeOrZeroWeight. Raises
+        MalformedInput below one vertex or when ``edges`` is not iterable, and
+        GraphTooLarge above ``MAX_SPARSE_VERTICES`` vertices or ``MAX_EDGES`` edges.
         """
         _check_count(n, MAX_SPARSE_VERTICES)
         try:
@@ -148,7 +148,7 @@ class Graph:
         except TypeError:
             raise MalformedInput(f"edges must be an iterable of triples, got {edges!r}") from None
         out: list[dict[int, Weight]] = [{} for _ in range(n)]
-        for edge in edges:
+        for edge in islice(edges, MAX_EDGES):
             try:
                 u, v, w = edge
             except (TypeError, ValueError):
@@ -162,6 +162,8 @@ class Graph:
                 raise DuplicateEdge(f"edge ({u},{v}) listed twice")
             if not isinstance(w, Weight):
                 try:
+                    if type(w) is bool:  # an int, but no weight
+                        raise TypeError
                     w = Weight.finite(w)
                 except (TypeError, ValueError, OverflowError):
                     raise MalformedInput(f"edge ({u},{v}) has unreadable weight {w!r}") from None
@@ -170,6 +172,8 @@ class Graph:
             if w.fraction.numerator <= 0:
                 raise NegativeOrZeroWeight(f"edge ({u},{v}) has non-positive weight {w}")
             row[v] = w
+        for _ in edges:  # one edge past the budget
+            check_size(MAX_EDGES + 1, MAX_EDGES, "edges")
         return cls(n, tuple(tuple(sorted(row.items())) for row in out))
 
 
@@ -229,27 +233,21 @@ def parse_matrix_text(text: str) -> Graph:
         except ValueError as exc:
             raise MalformedInput(f"row {entries.index(t) // n + 1}: {exc}") from None
     zero = Weight.zero()
-    non_positive = {t for t, w in weight_of.items() if w <= zero}
+    non_positive = {t for t, w in weight_of.items() if w <= zero}.__contains__
     is_finite = {t for t, w in weight_of.items() if w.is_finite}.__contains__
-    # A row is fine when its diagonal is zero and no off-diagonal token is
-    # non-positive, which set operations check at C speed; a row that is not
-    # is scanned for its first violation. Its out-edges are its finite
-    # off-diagonal tokens.
+    # Each row is scanned for its first violation in row-major order; its
+    # out-edges are its finite off-diagonal tokens.
     adjacency = []
     for i in range(n):
         row = entries[i * n : (i + 1) * n]
         diagonal = weight_of[row[i]]
-        if (
-            diagonal != zero
-            or not non_positive.isdisjoint(row[:i])
-            or not non_positive.isdisjoint(row[i + 1 :])
-        ):
-            for j in compress(range(n), map(non_positive.__contains__, row)):
-                if j > i and diagonal != zero:
-                    break
-                if j != i:
-                    w = weight_of[row[j]]
-                    raise NegativeOrZeroWeight(f"NegativeOrZeroWeight at ({i + 1},{j + 1}): {w}")
+        for j in compress(range(n), map(non_positive, row)):
+            if j > i and diagonal != zero:
+                break
+            if j != i:
+                w = weight_of[row[j]]
+                raise NegativeOrZeroWeight(f"NegativeOrZeroWeight at ({i + 1},{j + 1}): {w}")
+        if diagonal != zero:
             raise DiagonalNonZero(f"DiagonalNonZero at ({i + 1},{i + 1}): {diagonal}")
         finite = compress(range(n), map(is_finite, row))
         adjacency.append(tuple([(j + 1, weight_of[row[j]]) for j in finite if j != i]))

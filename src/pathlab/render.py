@@ -30,8 +30,8 @@ import json
 from dataclasses import fields
 from fractions import Fraction
 from functools import cache, partial
-from itertools import chain, compress, repeat
-from operator import is_not, itemgetter, ne
+from itertools import chain, repeat
+from operator import is_not, itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .bench import ComparisonRecord, RunReport
@@ -302,16 +302,14 @@ def trace_from_json(text: str) -> RunTrace:
                     "a round record disagrees with its position or the final settled rounds"
                 )
             changes = []
-            for v in compress(vertex_ids, map(ne, rows, last)):
+            for v in [v for v in vertex_ids if rows[v - 1] != last[v - 1]]:
                 value, preds, _ = row = rows[v - 1]
                 old_value, old_preds, old_settled = last[v - 1]
                 if old_settled is not None:
                     raise ValueError(f"round {k} changes vertex {v}'s permanent label")
-                # Equal value strings load as one Weight, so identity settles
-                # most equalities; "1" and "1.0" still need ==.
-                if value is not old_value and value < old_value:
+                if value < old_value:
                     kept = frozenset()
-                elif value is old_value or value == old_value:
+                elif value == old_value:
                     kept = old_preds
                 else:
                     raise ValueError(f"round {k} raises vertex {v}'s value")

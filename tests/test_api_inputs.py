@@ -1,6 +1,7 @@
 """Every public entry point refuses a bad vertex id, vertex count, edge item,
-adjacency or collection argument with a PathlabError, and GraphSpec refuses a
-field of the wrong type with a ValueError."""
+weight, edge count, adjacency or collection argument with a PathlabError, and
+GraphSpec, generate_graph and run_suite refuse an argument of the wrong type
+with a ValueError."""
 
 from __future__ import annotations
 
@@ -8,8 +9,10 @@ import re
 
 import pytest
 
+import pathlab.graph
 from pathlab import (
     Graph,
+    GraphTooLarge,
     MalformedInput,
     Strategy,
     VertexOutOfRange,
@@ -17,10 +20,13 @@ from pathlab import (
     build_tree_matrix,
     enumerate_min_path,
     extract_path,
+    generate_graph,
     init_labels,
+    parse_edge_list,
     relax_step,
     run_classic,
     run_modified,
+    run_suite,
 )
 from pathlab.bench import GraphSpec
 
@@ -146,3 +152,36 @@ def test_a_frontier_that_is_not_a_set_is_refused_by_name(frontier):
 def test_the_trusted_constructor_refuses_a_bad_count_or_shape(n, adjacency, message):
     with pytest.raises(MalformedInput, match=f"^{re.escape(message)}$"):
         Graph(n, adjacency)
+
+
+@pytest.mark.parametrize("w", [True, False], ids=repr)
+def test_a_bool_weight_is_refused_by_name(w):
+    with pytest.raises(MalformedInput, match=f"^edge \\(1,2\\) has unreadable weight {w}$"):
+        Graph.from_edges(N, [(1, 2, w)])
+
+
+def test_from_edges_refuses_an_edge_past_the_budget_as_the_header_check_does(monkeypatch):
+    monkeypatch.setattr(pathlab.graph, "MAX_EDGES", 10)
+    edges = [(u, v, 1) for u in range(1, 6) for v in range(1, 6) if u != v]  # 20 edges
+    assert len(list(Graph.from_edges(5, edges[:10]).edges())) == 10
+    message = "^11 edges exceed the limit of 10$"
+    with pytest.raises(GraphTooLarge, match=message):
+        Graph.from_edges(5, iter(edges))
+    with pytest.raises(GraphTooLarge, match=message):
+        parse_edge_list("5 11\n" + "".join(f"{u} {v} 1\n" for u, v, _ in edges[:11]))
+
+
+SPEC = GraphSpec(4, 0.5, 1, 9, 0.0, 1)
+
+
+@pytest.mark.parametrize("index", [1.0, True, "1", None], ids=repr)
+def test_generate_graph_refuses_an_index_that_is_no_int(index):
+    with pytest.raises(ValueError, match=f"^index must be an int, got {re.escape(repr(index))}$"):
+        generate_graph(SPEC, index)
+
+
+@pytest.mark.parametrize("count", [True, 1.5, 1.0, "1"], ids=repr)
+def test_run_suite_refuses_a_graph_count_that_is_no_int(count):
+    message = f"^graphs_per_spec must be an int, got {re.escape(repr(count))}$"
+    with pytest.raises(ValueError, match=message):
+        run_suite([SPEC], count)
