@@ -66,8 +66,14 @@ def _derived_seed(seed: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def _check_spec(spec: GraphSpec) -> None:
+    if not isinstance(spec, GraphSpec):
+        raise ValueError(f"spec must be a GraphSpec, got {spec!r}")
+
+
 def generate_graph(spec: GraphSpec, index: int) -> Graph:
     """Deterministic function of (spec, index); always a valid graph."""
+    _check_spec(spec)
     if type(index) is not int:
         raise ValueError(f"index must be an int, got {index!r}")
     rng = random.Random(_derived_seed(spec.seed, index))
@@ -224,6 +230,10 @@ def run_suite(
     source: int = 1,
 ) -> RunReport:
     """Generate, compare, and aggregate; deterministic given specs and seeds."""
+    if not isinstance(specs, (list, tuple)):
+        raise ValueError(f"specs must be a list or tuple of GraphSpec, got {specs!r}")
+    for spec in specs:
+        _check_spec(spec)
     if type(graphs_per_spec) is not int:
         raise ValueError(f"graphs_per_spec must be an int, got {graphs_per_spec!r}")
     if graphs_per_spec < 0:

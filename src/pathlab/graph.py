@@ -162,8 +162,6 @@ class Graph:
                 raise DuplicateEdge(f"edge ({u},{v}) listed twice")
             if not isinstance(w, Weight):
                 try:
-                    if type(w) is bool:  # an int, but no weight
-                        raise TypeError
                     w = Weight.finite(w)
                 except (TypeError, ValueError, OverflowError):
                     raise MalformedInput(f"edge ({u},{v}) has unreadable weight {w!r}") from None

@@ -19,9 +19,11 @@ Cost model. A trace records each round as its changes: the rows of the
 vertices whose labels it changed (see :mod:`pathlab.labeling`).
 :func:`render_trace_text` and :func:`trace_to_json` keep one running list of
 formatted rows, one per vertex, and re-format only the rows a round changed
-before writing the list out. Formatting work is therefore proportional to n
-plus the number of label changes, and the remaining work is joins
-proportional to the output bytes; :func:`trace_from_json` gives its own.
+before adding the list's rows to the document's parts. Formatting work is
+therefore proportional to n plus the number of label changes, and the rest
+is one join of those parts, proportional to the output bytes.
+:func:`trace_from_json` decodes O(n + changes) rows of a document laid out
+as :func:`trace_to_json` writes it, and every row of any other layout.
 """
 
 from __future__ import annotations
@@ -30,12 +32,12 @@ import json
 from dataclasses import fields
 from fractions import Fraction
 from functools import cache, partial
-from itertools import chain, repeat
-from operator import is_not, itemgetter
+from itertools import chain, compress, repeat
+from operator import is_not, itemgetter, ne
 from typing import Callable, Iterable, Iterator
 
 from .bench import ComparisonRecord, RunReport
-from .errors import MalformedInput, VertexOutOfRange
+from .errors import GraphTooLarge, MalformedInput, VertexOutOfRange
 from .graph import MAX_VERTICES, Graph, check_size, check_vertex
 from .labeling import LabelState, RoundRecord, RunTrace, Strategy
 from .oracle import OracleResult
@@ -89,10 +91,11 @@ def _vertex_set(vertices: frozenset[int]) -> str:
 
 
 def _text_row(source: int, v: int, value: Weight, preds, settled) -> str:
+    # Each row starts with the newline that ends the line before it.
     if value.is_infinite:
-        return f"{v:4d} |"
+        return f"\n{v:4d} |"
     predecessor = "-" if v == source or not preds else str(min(preds))
-    return f"{v:4d} | [{fixed_decimal(value.fraction, 2)}, {predecessor}] | {_status_name(settled)}"
+    return f"\n{v:4d} | [{fixed_decimal(value.fraction, 2)}, {predecessor}] | {_status_name(settled)}"
 
 
 def render_trace_text(trace: RunTrace) -> str:
@@ -101,21 +104,21 @@ def render_trace_text(trace: RunTrace) -> str:
     Raises GraphTooLarge when n times the rounds passes
     ``MAX_SNAPSHOT_CELLS``.
     """
-    blocks = []
+    parts = []
     for record, rows in zip(trace.rounds, _formatted_rounds(trace, partial(_text_row, trace.source))):
-        lines = [
+        parts.append(
             f"Round {record.round_index}"
             f"  frontier={_vertex_set(record.frontier)}"
-            f"  newly permanent={_vertex_set(record.newly_permanent)}",
-            "node | label | status",
-        ]
-        lines += rows
-        blocks.append("\n".join(lines))
-    summary = (
+            f"  newly permanent={_vertex_set(record.newly_permanent)}"
+            "\nnode | label | status"
+        )
+        parts += rows
+        parts.append("\n\n")
+    parts.append(
         f"rounds: {trace.rounds_count}"
-        f" (including source initialization: {trace.rounds_count_incl_source})"
+        f" (including source initialization: {trace.rounds_count_incl_source})\n"
     )
-    return "\n\n".join(blocks + [summary]) + "\n"
+    return "".join(parts)
 
 
 def _json_block(items: list[str], depth: int, brackets: str = "[]") -> str:
@@ -142,12 +145,13 @@ def _json_ints(values: frozenset[int], depth: int) -> str:
 
 
 def _json_row(depth: int, v: int, value: Weight, preds, settled) -> str:
-    # What json.dumps(row, indent=2) writes for the row dict nested ``depth``
-    # levels deep. No string in a row needs escaping: str(Weight) and the
-    # status values are ASCII digits, letters and ".-/".
+    # What json.dumps(row, indent=2) writes for vertex v's row dict nested
+    # ``depth`` levels deep, after the separator before it in its label list.
+    # No string in a row needs escaping: str(Weight) and the status values
+    # are ASCII digits, letters and ".-/".
     pad = "  " * depth
     return (
-        f"{pad}{{\n"
+        f"{',' if v > 1 else ''}\n{pad}{{\n"
         f'{pad}  "vertex": {v},\n'
         f'{pad}  "value": "{value}",\n'
         f'{pad}  "predecessors": {_json_ints(preds, depth + 1)},\n'
@@ -155,6 +159,12 @@ def _json_row(depth: int, v: int, value: Weight, preds, settled) -> str:
         f'{pad}  "settled_round": {"null" if settled is None else settled}\n'
         f"{pad}}}"
     )
+
+
+# How trace_to_json opens and closes a round's label list; _load_written
+# finds each list by them.
+_LABELS_OPEN = '      "labels": ['
+_LABELS_CLOSE = "\n      ]\n    }"
 
 
 def trace_to_json(trace: RunTrace) -> str:
@@ -165,33 +175,37 @@ def trace_to_json(trace: RunTrace) -> str:
     with the value as ``str(Weight)`` and the predecessors sorted. Raises
     GraphTooLarge when n times the rounds passes ``MAX_SNAPSHOT_CELLS``.
     """
-    rounds = [
-        "    {\n"
-        f'      "round_index": {record.round_index},\n'
-        f'      "frontier": {_json_ints(record.frontier, 3)},\n'
-        f'      "newly_permanent": {_json_ints(record.newly_permanent, 3)},\n'
-        '      "labels": '
-        + _json_block(rows, 3)
-        + "\n    }"
-        for record, rows in zip(trace.rounds, _formatted_rounds(trace, partial(_json_row, 4)))
-    ]
-    final_labels = [
-        _json_row(2, v, *row) for v, row in enumerate(trace.final_labels.rows(), start=1)
-    ]
-    return (
+    parts = [
         "{\n"
         f'  "algorithm": "{trace.algorithm}",\n'
         f'  "strategy": "{trace.strategy.value}",\n'
         f'  "source": {trace.source},\n'
         f'  "target": {json.dumps(trace.target)},\n'
-        f'  "rounds": {_json_block(rounds, 1)},\n'
-        f'  "final_labels": {_json_block(final_labels, 1)},\n'
+        '  "rounds": ['
+    ]
+    separator = "\n"
+    for record, rows in zip(trace.rounds, _formatted_rounds(trace, partial(_json_row, 4))):
+        parts.append(
+            f"{separator}    {{\n"
+            f'      "round_index": {record.round_index},\n'
+            f'      "frontier": {_json_ints(record.frontier, 3)},\n'
+            f'      "newly_permanent": {_json_ints(record.newly_permanent, 3)},\n'
+            + _LABELS_OPEN
+        )
+        parts += rows
+        parts.append(_LABELS_CLOSE)
+        separator = ",\n"
+    parts.append('\n  ],\n  "final_labels": [' if trace.rounds else '],\n  "final_labels": [')
+    parts += [_json_row(2, v, *row) for v, row in enumerate(trace.final_labels.rows(), start=1)]
+    parts.append(
+        "\n  ],\n"
         f'  "final_distances": {_json_strings(trace.final_distances, 1)},\n'
         f'  "rounds_count": {trace.rounds_count},\n'
         f'  "rounds_count_incl_source": {trace.rounds_count_incl_source},\n'
         f'  "terminated_early": {_bool_str(trace.terminated_early)}\n'
         "}\n"
     )
+    return "".join(parts)
 
 
 _ROW_FIELDS = itemgetter("vertex", "value", "predecessors", "status", "settled_round")
@@ -238,147 +252,206 @@ def trace_from_json(text: str) -> RunTrace:
     source settles in round 0. ``terminated_early`` holds exactly when the
     target settles in the last batch with some label left temporary, then
     none finite at or below that batch in its strategy's order; otherwise no
-    temporary label is finite. O(n + rounds + changes) beyond the decoding
-    and one comparison of each round's labels with the last.
+    temporary label is finite.
+
+    A document laid out as :func:`trace_to_json` writes it decodes O(n +
+    changes) rows, round 1's and then those whose text differs from the
+    round before's, and loads when it passes the walk and writes back to
+    ``text`` byte for byte. Any other layout, or a failure, decodes every
+    row, and only that raises. The walk is O(n + rounds + changes) beyond
+    the decoding.
     """
-    try:
-        data = json.loads(text)
-        final_items = data["final_labels"]
-        n = len(_typed(final_items, list))
-        if n < 1:
-            raise ValueError("final_labels is empty")
-        target = data["target"]
-        final_distances = _typed(data["final_distances"], list)
-        if len(final_distances) != n:
-            raise ValueError(f"final_distances has {len(final_distances)} entries, expected {n}")
-        strategy = Strategy(data["strategy"])
-        source = check_vertex(n, _typed(data["source"], int))
-        target = None if target is None else check_vertex(n, _typed(target, int))
-        # Equal weight strings, vertex lists and rows load as one object.
-        weight = cache(Weight.from_str)
-        vertex_set = cache(partial(_vertices, n))
-        row_of = cache(lambda value, preds, r: (weight(_typed(value, str)), vertex_set(preds), r))
-        vertex_ids = tuple(range(1, n + 1))
-
-        def vertices(items: list) -> frozenset[int]:
-            # Types are checked before the cache is asked: (True,) and (1.0,)
-            # equal (1,), so a hit would skip the check.
-            if not set(map(type, _typed(items, list))) <= {int}:
-                raise TypeError("vertices must be integers")
-            return vertex_set(tuple(items))
-
-        def label_rows(items: list) -> list:
-            if len(_typed(items, list)) != n:
-                raise ValueError(f"a label list has {len(items)} rows, expected {n}")
-            vertex, value, preds, status, settled = zip(*map(_ROW_FIELDS, items))
-            if vertex != vertex_ids or not set(map(type, vertex)) <= {int}:
-                raise ValueError("label rows must list vertices 1..n in order")
-            if not {type(p) for p in preds} <= {list}:
-                raise TypeError("predecessors must be lists")
-            if not set(map(type, chain.from_iterable(preds))) <= {int}:
-                raise TypeError("predecessors must be integers")
-            if not {type(r) for r in settled} <= {int, type(None)}:
-                raise TypeError("settled_round must be an integer or null")
-            permanent = list(map(is_not, settled, repeat(None)))
-            if list(map(_STATUS_IS_PERMANENT.get, status)) != permanent:
-                raise ValueError("a status is unknown or disagrees with its settled_round")
-            return list(map(row_of, value, map(tuple, preds), settled))
-
-        # Each round becomes its changes from the rows of the round before, as
-        # the engine records them, and is checked before the next is read.
-        # ``least`` ranks the last batch by (value, vertex) under SINGLE_MIN,
-        # by value under TIE_BATCH; ``unsettled``: STABLE_BATCH's finite ones.
-        initial = LabelState.initial(n, source)
-        last, record, batch = list(initial.rows()), initial, frozenset({source})
-        single_min = strategy is Strategy.SINGLE_MIN
-        least, unsettled, rounds = (Weight.zero(), 0), set(), []
-        for k, item in enumerate(_typed(data["rounds"], list), start=1):
-            round_index = _typed(item["round_index"], int)
-            frontier = vertices(item["frontier"])
-            rows = label_rows(item["labels"])
-            newly_permanent = vertices(item["newly_permanent"])
-            if round_index != k or frontier != batch:
-                raise ValueError(
-                    "a round record disagrees with its position or the final settled rounds"
-                )
-            changes = []
-            for v in [v for v in vertex_ids if rows[v - 1] != last[v - 1]]:
-                value, preds, _ = row = rows[v - 1]
-                old_value, old_preds, old_settled = last[v - 1]
-                if old_settled is not None:
-                    raise ValueError(f"round {k} changes vertex {v}'s permanent label")
-                if value < old_value:
-                    kept = frozenset()
-                elif value == old_value:
-                    kept = old_preds
-                else:
-                    raise ValueError(f"round {k} raises vertex {v}'s value")
-                if not (value.is_finite and preds):
-                    raise ValueError(f"round {k} gives vertex {v} no finite value or no predecessor")
-                added = preds - kept
-                if not (kept <= preds and added <= frontier):
-                    raise ValueError(
-                        f"round {k} changes vertex {v}'s predecessors outside its frontier"
-                    )
-                if any(not last[u - 1][0] < value for u in added):
-                    raise ValueError(f"round {k} gives vertex {v} a predecessor not below its value")
-                changes.append((v, row))
-            settled = [(v, row[2]) for v, row in changes if row[2] is not None]
-            if settled != [(v, k) for v in sorted(newly_permanent)]:
-                raise ValueError(f"round {k}'s settled rounds disagree with the final ones")
-            if not newly_permanent:
-                raise ValueError(f"round {k} settles nothing")
-            if single_min and len(newly_permanent) > 1:
-                raise ValueError("a singlemin round settles more than one vertex")
-            if strategy is Strategy.STABLE_BATCH:
-                finite = unsettled.union([v for v, _ in changes])
-                minimum = min(rows[v - 1][0] for v in finite)
-                expected = {v for v in finite if rows[v - 1][0] in (minimum, last[v - 1][0])}
-                if expected != newly_permanent:
-                    v = min(expected ^ newly_permanent)
-                    raise ValueError(f"round {k}'s batch is not stablebatch's at vertex {v}")
-                unsettled = finite - newly_permanent
-            else:
-                value, v = min((rows[u - 1][0], u) for u in newly_permanent)
-                for u in sorted(newly_permanent):
-                    if rows[u - 1][0] != value:
-                        raise ValueError(f"round {k} settles vertex {u} at a second value")
-                if (value, v if single_min else 0) <= least:
-                    raise ValueError(f"round {k} settles vertex {v} at or below an earlier batch")
-                least = (value, v if single_min else 0)
-            record = RoundRecord(k, frontier, tuple(changes), newly_permanent, record)
-            rounds.append(record)
-            last, batch = rows, newly_permanent
-        final = label_rows(final_items)
-        terminated_early = _typed(data["terminated_early"], bool)
-        trace = RunTrace(strategy, source, target, tuple(rounds), LabelState(final), terminated_early)
-        if data["algorithm"] != trace.algorithm:
-            raise ValueError(f"algorithm {data['algorithm']!r} is not that of {strategy.value}")
-        if _typed(data["rounds_count"], int) != trace.rounds_count:
-            raise ValueError(f"rounds_count is not the {trace.rounds_count} rounds listed")
-        if _typed(data["rounds_count_incl_source"], int) != trace.rounds_count_incl_source:
-            raise ValueError("rounds_count_incl_source is not rounds_count + 1")
-        if tuple(map(weight, final_distances)) != trace.final_distances:
-            raise ValueError("final_distances disagree with the final_labels values")
-        if [v for v, (_, _, r) in enumerate(final, start=1) if r == 0] != [source]:
-            raise ValueError("only the source settles in round 0")
-        if final != last:
-            raise ValueError("final_labels are not the labels of the last round")
-        temporary = [(value, v) for v, (value, _, r) in enumerate(final, start=1) if r is None]
-        if terminated_early and not (temporary and target in batch):
-            raise ValueError("terminated_early, but the run does not stop when its target settles")
-        # A stop leaves every finite temporary label above the last batch,
-        # round k's (STABLE_BATCH's rounds were checked for that as read).
-        for value, v in filter(lambda pair: pair[0].is_finite, temporary):
-            if not terminated_early:
-                raise ValueError("not terminated_early, but a temporary label is finite")
-            if (value, v if single_min else 0) <= least:
-                raise ValueError(f"round {k} stops with vertex {v} temporary at or below its batch")
+    trace = _load_written(text)
+    if trace is not None:
         return trace
+    try:
+        return _trace_from_document(json.loads(text))
     except KeyError as exc:
         raise MalformedInput(f"malformed trace: missing key {exc}") from None
     except (TypeError, ValueError, RecursionError, VertexOutOfRange) as exc:
         raise MalformedInput(f"malformed trace: {exc}") from None
+
+
+def _load_written(text: str) -> RunTrace | None:
+    """The trace of ``text`` if trace_to_json wrote it, else None.
+
+    Each round's label list is cut into row texts and keeps only those that
+    differ from the round before's (all of round 1's) for ``json.loads``.
+    """
+    if not (isinstance(text, str) and text.startswith('{\n  "algorithm": ')):
+        return None
+    try:
+        parts, round_ids, start = [], [], 0
+        while (opened := text.find(_LABELS_OPEN, start)) != -1:
+            opened += len(_LABELS_OPEN)
+            closed = text.find(_LABELS_CLOSE, opened)
+            if closed == -1:
+                return None
+            # Each row without the "\n" or ",\n" before it and its closing
+            # brace: no row holds a brace.
+            rows = text[opened + 1 : closed - 1].split("},\n")
+            if not round_ids:  # round 1 decodes every row
+                n, last = len(rows), [None] * len(rows)
+            if len(rows) != n:
+                return None
+            changed = list(map(ne, rows, last))
+            round_ids.append(tuple(compress(range(1, n + 1), changed)))
+            # A round that changes no row leaves "[}", which json.loads refuses.
+            parts += [text[start:opened], "},\n".join(compress(rows, changed)), "}"]
+            last, start = rows, closed
+        parts.append(text[start:])
+        data = json.loads("".join(parts))
+        if round_ids and len(data["final_labels"]) != n:
+            return None
+        trace = _trace_from_document(data, round_ids)
+        return trace if trace_to_json(trace) == text else None
+    except (TypeError, ValueError, KeyError, RecursionError, VertexOutOfRange, GraphTooLarge):
+        return None
+
+
+def _trace_from_document(data, round_ids: list[tuple[int, ...]] | None = None) -> RunTrace:
+    """The checked trace of a decoded document, whose round k lists the
+    rows of vertices ``round_ids[k - 1]`` (by default all), the others
+    keeping theirs. A failed check raises what trace_from_json maps."""
+    final_items = data["final_labels"]
+    n = len(_typed(final_items, list))
+    if n < 1:
+        raise ValueError("final_labels is empty")
+    target = data["target"]
+    final_distances = _typed(data["final_distances"], list)
+    if len(final_distances) != n:
+        raise ValueError(f"final_distances has {len(final_distances)} entries, expected {n}")
+    strategy = Strategy(data["strategy"])
+    source = check_vertex(n, _typed(data["source"], int))
+    target = None if target is None else check_vertex(n, _typed(target, int))
+    # Equal weight strings, vertex lists and rows load as one object.
+    weight = cache(Weight.from_str)
+    vertex_set = cache(partial(_vertices, n))
+    row_of = cache(lambda value, preds, r: (weight(_typed(value, str)), vertex_set(preds), r))
+    vertex_ids = tuple(range(1, n + 1))
+
+    def vertices(items: list) -> frozenset[int]:
+        # Types are checked before the cache is asked: (True,) and (1.0,)
+        # equal (1,), so a hit would skip the check.
+        if not set(map(type, _typed(items, list))) <= {int}:
+            raise TypeError("vertices must be integers")
+        return vertex_set(tuple(items))
+
+    def label_rows(items: list, ids: tuple[int, ...] = vertex_ids) -> list:
+        if len(_typed(items, list)) != len(ids):
+            raise ValueError(f"a label list has {len(items)} rows, expected {len(ids)}")
+        vertex, value, preds, status, settled = zip(*map(_ROW_FIELDS, items))
+        if vertex != ids or not set(map(type, vertex)) <= {int}:
+            raise ValueError("label rows must list vertices 1..n in order")
+        if not {type(p) for p in preds} <= {list}:
+            raise TypeError("predecessors must be lists")
+        if not set(map(type, chain.from_iterable(preds))) <= {int}:
+            raise TypeError("predecessors must be integers")
+        if not {type(r) for r in settled} <= {int, type(None)}:
+            raise TypeError("settled_round must be an integer or null")
+        permanent = list(map(is_not, settled, repeat(None)))
+        if list(map(_STATUS_IS_PERMANENT.get, status)) != permanent:
+            raise ValueError("a status is unknown or disagrees with its settled_round")
+        return list(map(row_of, value, map(tuple, preds), settled))
+
+    # Each round becomes its changes from ``labels``, the rows of the round
+    # before, as the engine records them, and is checked before the next is
+    # read. ``least`` ranks the last batch by (value, vertex) under
+    # SINGLE_MIN, by value under TIE_BATCH; ``unsettled``: STABLE_BATCH's
+    # finite ones.
+    initial = LabelState.initial(n, source)
+    labels, record, batch = list(initial.rows()), initial, frozenset({source})
+    single_min = strategy is Strategy.SINGLE_MIN
+    least, unsettled, rounds = (Weight.zero(), 0), set(), []
+    rounds_ids = repeat(vertex_ids) if round_ids is None else round_ids
+    for k, (item, ids) in enumerate(zip(_typed(data["rounds"], list), rounds_ids), start=1):
+        round_index = _typed(item["round_index"], int)
+        frontier = vertices(item["frontier"])
+        rows = label_rows(item["labels"], ids)
+        newly_permanent = vertices(item["newly_permanent"])
+        if round_index != k or frontier != batch:
+            raise ValueError(
+                "a round record disagrees with its position or the final settled rounds"
+            )
+        changes, improved = [], set()
+        for v, row in zip(ids, rows):
+            value, preds, _ = row
+            old_value, old_preds, old_settled = old = labels[v - 1]
+            if row == old:
+                continue
+            if old_settled is not None:
+                raise ValueError(f"round {k} changes vertex {v}'s permanent label")
+            if value < old_value:
+                kept = frozenset()
+                improved.add(v)
+            elif value == old_value:
+                kept = old_preds
+            else:
+                raise ValueError(f"round {k} raises vertex {v}'s value")
+            if not (value.is_finite and preds):
+                raise ValueError(f"round {k} gives vertex {v} no finite value or no predecessor")
+            added = preds - kept
+            if not (kept <= preds and added <= frontier):
+                raise ValueError(
+                    f"round {k} changes vertex {v}'s predecessors outside its frontier"
+                )
+            if any(not labels[u - 1][0] < value for u in added):
+                raise ValueError(f"round {k} gives vertex {v} a predecessor not below its value")
+            changes.append((v, row))
+        for v, row in changes:
+            labels[v - 1] = row
+        settled = [(v, row[2]) for v, row in changes if row[2] is not None]
+        if settled != [(v, k) for v in sorted(newly_permanent)]:
+            raise ValueError(f"round {k}'s settled rounds disagree with the final ones")
+        if not newly_permanent:
+            raise ValueError(f"round {k} settles nothing")
+        if single_min and len(newly_permanent) > 1:
+            raise ValueError("a singlemin round settles more than one vertex")
+        if strategy is Strategy.STABLE_BATCH:
+            finite = unsettled.union([v for v, _ in changes])
+            minimum = min(labels[v - 1][0] for v in finite)
+            expected = {v for v in finite if v not in improved or labels[v - 1][0] == minimum}
+            if expected != newly_permanent:
+                v = min(expected ^ newly_permanent)
+                raise ValueError(f"round {k}'s batch is not stablebatch's at vertex {v}")
+            unsettled = finite - newly_permanent
+        else:
+            value, v = min((labels[u - 1][0], u) for u in newly_permanent)
+            for u in sorted(newly_permanent):
+                if labels[u - 1][0] != value:
+                    raise ValueError(f"round {k} settles vertex {u} at a second value")
+            if (value, v if single_min else 0) <= least:
+                raise ValueError(f"round {k} settles vertex {v} at or below an earlier batch")
+            least = (value, v if single_min else 0)
+        record = RoundRecord(k, frontier, tuple(changes), newly_permanent, record)
+        rounds.append(record)
+        batch = newly_permanent
+    final = label_rows(final_items)
+    terminated_early = _typed(data["terminated_early"], bool)
+    trace = RunTrace(strategy, source, target, tuple(rounds), LabelState(final), terminated_early)
+    if data["algorithm"] != trace.algorithm:
+        raise ValueError(f"algorithm {data['algorithm']!r} is not that of {strategy.value}")
+    if _typed(data["rounds_count"], int) != trace.rounds_count:
+        raise ValueError(f"rounds_count is not the {trace.rounds_count} rounds listed")
+    if _typed(data["rounds_count_incl_source"], int) != trace.rounds_count_incl_source:
+        raise ValueError("rounds_count_incl_source is not rounds_count + 1")
+    if tuple(map(weight, final_distances)) != trace.final_distances:
+        raise ValueError("final_distances disagree with the final_labels values")
+    if [v for v, (_, _, r) in enumerate(final, start=1) if r == 0] != [source]:
+        raise ValueError("only the source settles in round 0")
+    if final != labels:
+        raise ValueError("final_labels are not the labels of the last round")
+    temporary = [(value, v) for v, (value, _, r) in enumerate(final, start=1) if r is None]
+    if terminated_early and not (temporary and target in batch):
+        raise ValueError("terminated_early, but the run does not stop when its target settles")
+    # A stop leaves every finite temporary label above the last batch,
+    # round k's (STABLE_BATCH's rounds were checked for that as read).
+    for value, v in filter(lambda pair: pair[0].is_finite, temporary):
+        if not terminated_early:
+            raise ValueError("not terminated_early, but a temporary label is finite")
+        if (value, v if single_min else 0) <= least:
+            raise ValueError(f"round {k} stops with vertex {v} temporary at or below its batch")
+    return trace
 
 
 def _matrix_text(n: int, fill: str, rows: Iterable[Iterable[tuple[int, str]]]) -> str:

@@ -42,9 +42,12 @@ class Weight:
     @classmethod
     def finite(cls, value: int | str | Fraction | float) -> "Weight":
         """An int, Fraction or float exactly, or a str in the grammar of
-        :meth:`from_token` but for ``INF``; ValueError for a str outside it."""
+        :meth:`from_token` but for ``INF``; ValueError for a str outside it,
+        TypeError for a ``bool``, which is an int but no weight."""
         if isinstance(value, str) and value.upper() != "INF":
             return cls.from_token(value)
+        if type(value) is bool:
+            raise TypeError(f"a bool is no weight: {value!r}")
         return cls(Fraction(value))
 
     @classmethod

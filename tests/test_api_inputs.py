@@ -185,3 +185,20 @@ def test_run_suite_refuses_a_graph_count_that_is_no_int(count):
     message = f"^graphs_per_spec must be an int, got {re.escape(repr(count))}$"
     with pytest.raises(ValueError, match=message):
         run_suite([SPEC], count)
+
+
+@pytest.mark.parametrize("spec", [None, (4, 0.5, 1, 9, 0.0, 1)], ids=repr)
+def test_generate_graph_and_run_suite_refuse_a_spec_that_is_no_graph_spec(spec):
+    message = f"^spec must be a GraphSpec, got {re.escape(repr(spec))}$"
+    with pytest.raises(ValueError, match=message):
+        generate_graph(spec, 0)
+    for graphs in (0, 1):
+        with pytest.raises(ValueError, match=message):
+            run_suite([SPEC, spec], graphs)
+
+
+@pytest.mark.parametrize("specs", [None, SPEC, iter([SPEC])], ids=["None", "spec", "iterator"])
+def test_run_suite_refuses_specs_that_are_no_list_or_tuple(specs):
+    message = f"^specs must be a list or tuple of GraphSpec, got {re.escape(repr(specs))}$"
+    with pytest.raises(ValueError, match=message):
+        run_suite(specs, 1)

@@ -10,6 +10,7 @@ with the collector off, ``gc.collect()`` afterwards finds nothing.
 from __future__ import annotations
 
 import gc
+import json
 
 import pytest
 
@@ -61,6 +62,7 @@ def _operations(name: str) -> dict:
     record = compare(g, 1, target)
     report = single_record_report(record)
     document = trace_to_json(trace)
+    compact = json.dumps(json.loads(document))
     return {
         "parse": _parse(name),
         "run_classic": lambda: run_classic(g, 1, target, True),
@@ -80,6 +82,7 @@ def _operations(name: str) -> dict:
         "render_comparison_text": lambda: render_comparison_text(record),
         "trace_to_json": lambda: trace_to_json(trace),
         "trace_from_json": lambda: trace_from_json(document),
+        "trace_from_json_compact": lambda: trace_from_json(compact),
     }
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import json
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from pathlab import (
     run_classic,
     run_modified,
 )
-from pathlab.bench import run_strategy
+from pathlab.bench import GraphSpec, generate_graph, run_strategy
 from pathlab.render import (
     fixed_decimal,
     render_comparison_text,
@@ -238,6 +239,8 @@ def assert_matches_reference_and_round_trips(trace: RunTrace) -> None:
     assert render_trace_text(trace) == reference_render_trace_text(trace)
     recovered = trace_from_json(structured)
     assert recovered == trace
+    # the same document in another layout loads through the general path
+    assert trace_from_json(json.dumps(json.loads(structured))) == trace
     assert trace_to_json(recovered) == structured
     assert render_trace_text(recovered) == render_trace_text(trace)
 
@@ -591,6 +594,16 @@ def test_malformed_trace_document_is_malformed_input(paper8, name):
         trace_from_json(text)
 
 
+@pytest.mark.parametrize("name", sorted(MALFORMED_DOCUMENTS))
+def test_malformed_trace_document_in_the_written_layout_gives_the_same_message(paper8, name):
+    # json.dumps(doc, indent=2) + "\n" is trace_to_json's layout, so the
+    # loader first tries to decode only the rows that change, then falls back
+    text = json.dumps(MALFORMED_DOCUMENTS[name](_paper8_document(paper8)), indent=2) + "\n"
+    message = re.escape(f"malformed trace: {MALFORMED_MESSAGES[name]}")
+    with pytest.raises(MalformedInput, match=f"^{message}$"):
+        trace_from_json(text)
+
+
 @pytest.mark.parametrize("name", ROUND_CONTRADICTIONS)
 def test_contradictory_round_of_a_classic_trace_is_malformed_input(paper8, name):
     doc = json.loads(trace_to_json(run_classic(paper8, 1)))
@@ -624,6 +637,20 @@ def test_a_kept_value_written_another_way_loads(paper8):
         _document(trace), 4, from_round=trace.final_labels.settled_round(4), value="4.0"
     )
     assert trace_from_json(json.dumps(doc)) == trace
+
+
+def test_a_written_layout_that_writes_back_otherwise_is_decoded_whole(paper8, monkeypatch):
+    # in trace_to_json's layout, "4.0" passes every check of the rows that
+    # change, but writes back as "4": the whole text is decoded again
+    trace = run_classic(paper8, 1)
+    doc = _with_vertex_rows(
+        _document(trace), 4, from_round=trace.final_labels.settled_round(4), value="4.0"
+    )
+    text = json.dumps(doc, indent=2) + "\n"
+    loads, decoded = json.loads, []
+    monkeypatch.setattr(json, "loads", lambda s: decoded.append(s) or loads(s))
+    assert trace_from_json(text) == trace
+    assert len(decoded) == 2 and decoded[1] is text
 
 
 def test_the_first_faulty_round_is_reported(paper8):
@@ -822,3 +849,37 @@ def test_any_edit_of_a_trace_loads_or_is_malformed_input(tie4, data):
     except MalformedInput:
         return
     assert isinstance(trace, RunTrace)
+
+
+def _long_classic_trace() -> RunTrace:
+    """A classic run on a sparse 150-vertex graph: 149 rounds, a 4.4 MB
+    document in which a round changes a few of its 150 rows."""
+    return run_classic(generate_graph(GraphSpec(150, 0.05, 1, 9, 0.9, 1), 0), 1)
+
+
+def test_a_written_document_decodes_only_the_rows_that_change(monkeypatch):
+    trace = _long_classic_trace()
+    text = trace_to_json(trace)
+    loads, decoded = json.loads, []
+    monkeypatch.setattr(json, "loads", lambda s: decoded.append(s) or loads(s))
+    assert trace_from_json(text) == trace
+    # round 1's rows, the rows later rounds change and the final labels
+    changes = sum(len(record.changes) for record in trace.rounds[1:])
+    assert len(decoded) == 1
+    assert decoded[0].count('"vertex"') == changes + 2 * trace.final_labels.n
+
+
+def _peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writing_and_loading_a_long_trace_stay_under_one_and_a_half_documents():
+    trace = _long_classic_trace()
+    text = trace_to_json(trace)
+    assert _peak_bytes(lambda: trace_to_json(trace)) < 1.5 * len(text)
+    assert _peak_bytes(lambda: trace_from_json(text)) < 1.5 * len(text)

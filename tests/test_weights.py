@@ -136,3 +136,9 @@ def test_weight_is_immutable_and_hashable():
         w._value = None
     assert hash(Weight.finite(3)) == hash(Weight.finite(3))
     assert len({Weight.finite(1), Weight.finite(1), INFINITY}) == 2
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_finite_refuses_a_bool(value):
+    with pytest.raises(TypeError, match=f"^a bool is no weight: {value}$"):
+        Weight.finite(value)
