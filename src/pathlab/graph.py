@@ -7,17 +7,19 @@ i -> j, zero on the diagonal and INFINITY where no edge exists, is derived:
 :meth:`Graph.weight` reads one entry in O(log out-degree) by bisecting u's
 out-edges, :attr:`Graph.weights` builds the whole matrix on each read, and
 :func:`pathlab.render.to_matrix_text` writes it a row at a time. So an edge
-list costs O(n + m) to parse and to store, and a matrix file O(n²) only
-because it has n² tokens. :attr:`Graph.scaled_weights` holds one exact
-integer per distinct weight, scaled by the lcm of the weight denominators,
-built once per graph for the labeling engine.
+list costs O(n + m log m) to parse and O(n + m) to store, and a matrix file
+O(n²) only because it has n² tokens. :attr:`Graph.scaled_weights` holds one
+exact integer per distinct weight, scaled by the lcm of the weight
+denominators, built once per graph for the labeling engine.
 
 Each input form has one checking path. ``Graph(n, adjacency)`` is the
 trusted constructor for code that already holds the invariants (the random
 generator, the parsers): it checks the count and shape (MalformedInput), not
 the edges. :meth:`Graph.from_edges` checks every edge and is the path of
-edge lists, parsed or programmatic. :func:`parse_matrix_text` checks the
-matrix file it reads. Before allocating, matrix files and both matrix views
+edge lists, parsed or programmatic, but for the bulk check of a well-formed
+file's body; any other body goes through it line by line, which names the
+first bad line. :func:`parse_matrix_text` checks the matrix file it reads.
+Before allocating, matrix files and both matrix views
 refuse n above ``MAX_VERTICES``, and edge lists, parsed or programmatic,
 refuse more than ``MAX_SPARSE_VERTICES`` vertices or ``MAX_EDGES`` edges.
 
@@ -45,8 +47,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import compress, islice
+from itertools import compress, count, islice, pairwise, starmap
 from math import lcm
+from operator import eq
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -196,12 +199,8 @@ def check_size(count: int, limit: int = MAX_VERTICES, what: str = "vertices") ->
 
 
 def _content_lines(text: str) -> list[str]:
-    lines = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            lines.append(line)
-    return lines
+    lines = list(filter(None, map(str.strip, text.splitlines())))
+    return [line for line in lines if line[0] != "#"] if "#" in text else lines
 
 
 def parse_matrix_text(text: str) -> Graph:
@@ -255,8 +254,9 @@ def parse_matrix_text(text: str) -> Graph:
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format into a checked Graph.
 
-    Lines are parsed as :meth:`Graph.from_edges` consumes them, so the first
-    bad line raises, whether its fault is in the syntax or in the edge.
+    A well-formed body is checked in bulk. Any other is parsed line by line
+    as :meth:`Graph.from_edges` consumes it, so the first bad line raises,
+    whether its fault is in the syntax or in the edge.
     """
     lines = _content_lines(text)
     if not lines:
@@ -275,7 +275,7 @@ def parse_edge_list(text: str) -> Graph:
     body = lines[1:]
     if len(body) != m:
         raise MalformedInput(f"expected {m} edge lines, found {len(body)}")
-    return Graph.from_edges(n, _parsed_edges(body))
+    return _bulk_graph(n, body) or Graph.from_edges(n, _parsed_edges(body))
 
 
 def _ascii_int(token: str) -> int:
@@ -289,19 +289,63 @@ def _ascii_int(token: str) -> int:
     return int(token)
 
 
+# Edge lines checked together, so one chunk's token strings are alive at once.
+_CHUNK_LINES = 4096
+
+
+def _bulk_graph(n: int, lines: list[str]) -> Graph | None:
+    """The graph of ``lines`` if each is a well-formed edge line, else None.
+
+    Line i of m becomes one int key ``(u * (n + 1) + v) * m + i``: one sort
+    orders every row and puts a repeated edge next to its first listing. Each
+    distinct weight token is checked once and becomes one ``Weight``."""
+    m, width = len(lines), n + 1
+    weight_of: dict[str, Weight] = {}
+    keys: list[int] = []
+    weights: list[Weight] = []
+    for start in range(0, m, _CHUNK_LINES):
+        chunk = lines[start : start + _CHUNK_LINES]
+        joined = " | ".join(chunk)
+        tokens = joined.split()
+        # ASCII text without "_" gives int() nothing outside the grammar. With
+        # 4k - 1 tokens for k lines, and no "|" in the endpoints and weights
+        # checked below, the bars are every fourth token: each line has three.
+        if not (joined.isascii() and "_" not in joined and len(tokens) == 4 * len(chunk) - 1):
+            return None
+        ws = tokens[2::4]
+        try:
+            us, vs = list(map(int, tokens[0::4])), list(map(int, tokens[1::4]))
+            for token in set(ws).difference(weight_of):
+                w = weight_of[token] = Weight.from_token(token)
+                if w.is_infinite or w.fraction.numerator <= 0:
+                    return None
+        except ValueError:
+            return None
+        ends = us + vs
+        if not 1 <= min(ends) <= max(ends) <= n or any(map(eq, us, vs)):
+            return None
+        keys += [(u * width + v) * m + i for i, u, v in zip(count(start), us, vs)]
+        weights += map(weight_of.__getitem__, ws)
+    keys.sort()
+    if any(starmap(eq, pairwise(map(m.__rfloordiv__, keys)))):  # (u, v) twice
+        return None
+    bounds = [bisect_left(keys, u * width * m) for u in range(1, width + 1)]  # row starts
+    # Made in row order, a row's pairs are near one another in memory.
+    ids = list(range(width))  # the one int of each vertex id
+    heads = map(ids.__getitem__, map(width.__rmod__, map(m.__rfloordiv__, keys)))
+    pairs = list(zip(heads, map(weights.__getitem__, map(m.__rmod__, keys))))
+    del keys, weights
+    return Graph(n, tuple([tuple(pairs[a:b]) for a, b in pairwise(bounds)]))
+
+
 def _parsed_edges(lines: list[str]) -> Iterator[tuple[int, int, Weight]]:
     weight_of = cache(Weight.from_token)
-    # Lines that are all ASCII and hold no underscore, the common case checked
-    # here in bulk, can give int() nothing outside the grammar; otherwise each
-    # endpoint is checked, so that the first bad line is the one named.
-    body = "".join(lines)
-    to_int = int if body.isascii() and "_" not in body else _ascii_int
     for line in lines:
         parts = line.split()
         if len(parts) != 3:
             raise MalformedInput(f"edge line must be 'u v w', got {line!r}")
         try:
-            u, v = to_int(parts[0]), to_int(parts[1])
+            u, v = _ascii_int(parts[0]), _ascii_int(parts[1])
         except ValueError:
             raise MalformedInput(f"non-integer vertex in edge line {line!r}") from None
         try:
@@ -311,4 +355,3 @@ def _parsed_edges(lines: list[str]) -> Iterator[tuple[int, int, Weight]]:
         if w.is_infinite:
             raise MalformedInput(f"edge line {line!r}: weight must be finite")
         yield u, v, w
-

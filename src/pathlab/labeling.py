@@ -16,13 +16,14 @@ The run engine relaxes only the out-edges of the frontier, each weight read
 from the graph's ``Graph.scaled_weights``: the weight times ``scale``, the lcm
 of the weight denominators, as an exact ``int``. It keeps each finite label as
 such an integer, relaxes with ``int`` additions and selects in one loop over
-a lazy-deletion heap keyed ``(scaled value, vertex id)``. The loop drops the
-entries left behind by a later improvement or a settle, and stops after the
-first current entry, the lowest id at the minimum, or when batching after the
-last entry tied with it: a tie batch is the run of entries sharing the top
-value (a Dial bucket). STABLE_BATCH also keeps the set of finite temporary
-labels. The rows hold ``Weight``s, one per distinct distance per run, so
-equal values in a trace are one object.
+a lazy-deletion heap of ints ``scaled value * (n + 1) + vertex id``, which
+order as ``(value, vertex)`` pairs would. The loop drops the entries left
+behind by a later improvement or a settle, and stops after the first current
+entry, the lowest id at the minimum, or when batching after the last entry
+tied with it: a tie batch is the run of entries sharing the top value (a Dial
+bucket). STABLE_BATCH also keeps the set of finite temporary labels. The rows
+hold ``Weight``s, one per distinct distance per run, so equal values in a
+trace are one object.
 
 Every round is recorded so runs can be replayed, rendered, and
 regression-tested against golden traces. A label state is one list of rows,
@@ -332,13 +333,14 @@ def _run(
     initial = LabelState.initial(g.n, source)
     rows = list(initial.rows())
     scale, scaled = g.scaled_weights
-    # Each finite label times ``scale`` (None for INFINITY): heap keys and the
-    # operands of relaxation. ``weight_of`` maps each scaled value to the one
-    # Weight the rows hold for it in this run.
+    # Each finite label times ``scale`` (None for INFINITY): the operands of
+    # relaxation; a heap entry is ``value * width + v``. ``weight_of`` maps
+    # each scaled value to the one Weight the rows hold for it in this run.
     exact: list[int | None] = [None] * g.n
     exact[source - 1] = 0
     weight_of: dict[int, Weight] = {}
-    heap: list[tuple[int, int]] = []
+    width = g.n + 1
+    heap: list[int] = []
     finite_temporary: set[int] = set()
     batching = strategy is not Strategy.SINGLE_MIN
     unsettled = g.n - 1
@@ -356,6 +358,8 @@ def _run(
         extended = set()
         for u in frontier:
             base = exact[u - 1]
+            # one predecessor set per frontier vertex, shared by its rows
+            only_u = frozenset((u,))
             for v, w in g.adjacency[u - 1]:
                 row = rows[v - 1]
                 if row[2] is not None:
@@ -369,20 +373,22 @@ def _run(
                     value = weight_of.get(candidate)
                     if value is None:
                         value = weight_of[candidate] = Weight(Fraction(candidate, scale))
-                    rows[v - 1] = (value, frozenset((u,)), None)
-                    heappush(heap, (candidate, v))
+                    rows[v - 1] = (value, only_u, None)
+                    heappush(heap, candidate * width + v)
                     changed.add(v)
                 elif candidate == old:
-                    rows[v - 1] = (row[0], row[1] | {u}, None)
+                    rows[v - 1] = (row[0], row[1] | only_u, None)
                     extended.add(v)
         # Select the first current entry (its vertex temporary at the entry's
-        # value), and when batching every one tied with it, dropping the rest.
-        # None is current when no temporary label is finite: the run ends.
+        # value), and when batching every one tied with it, below ``bound``,
+        # dropping the rest. None is current when no temporary label is
+        # finite: the run ends.
         newly = set()
-        while heap and (not newly or batching and heap[0][0] == minimum):
-            minimum, v = heappop(heap)
+        while heap and (not newly or batching and heap[0] < bound):
+            minimum, v = divmod(heappop(heap), width)
             if rows[v - 1][2] is None and exact[v - 1] == minimum:
                 newly.add(v)
+                bound = (minimum + 1) * width
         if not newly:
             break
         if strategy is Strategy.STABLE_BATCH:

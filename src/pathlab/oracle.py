@@ -1,18 +1,19 @@
 """Independent ground-truth shortest-path computations.
 
-Two deliberately unrelated oracles back the labeling engines: an iterative
-edge-sweep (Bellman-Ford) and a combinatorial search over simple paths. A bug
-would have to hit both to validate a wrong answer. Both sum exact integers:
-one helper, :func:`_scaled_weights`, scales each distinct weight by the lcm of
-the weight denominators. It is kept here, apart from the engine's
+Two deliberately unrelated oracles back the labeling engines: relaxation
+from a FIFO queue (Bellman-Ford-Moore) and a combinatorial search over simple
+paths. A bug would have to hit both to validate a wrong answer. Both sum exact
+integers: one helper, :func:`_scaled_weights`, scales each distinct weight by
+the lcm of the weight denominators. It is kept here, apart from the engine's
 ``Graph.scaled_weights``, so that a fault in the engine's view cannot make the
 engine and its oracles agree on a wrong distance. Both walk the graph's
-out-edges only: a sweep costs O(m) integer additions, and the search one
-integer addition per path extension it explores.
+out-edges only: a scan of a vertex costs one integer addition per out-edge,
+and the search one per path extension it explores.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -44,34 +45,38 @@ def _scaled_weights(g: Graph) -> tuple[int, dict[int, int]]:
 
 
 def bellman_ford(g: Graph, source: int) -> OracleResult:
-    """Exact single-source distances via at most n-1 full relaxation sweeps.
+    """Exact single-source distances by Bellman-Ford-Moore relaxation.
 
-    Each sweep walks ``g.adjacency`` in row-major order, skipping vertices not
-    reached yet, and a sweep that changes nothing ends the run. Sums are exact
-    integers, from :func:`_scaled_weights`, looked up per edge.
+    Vertices whose distance dropped wait in a FIFO queue to relax their
+    out-edges, until it empties (Moore, "The shortest path through a maze",
+    1959). Label-correcting, it shares no selection rule with the engine. It
+    is O(n * m) at worst, but O(m) on a path whose edges run from high ids to
+    low, which takes n row-order sweeps. Sums are exact integers from
+    :func:`_scaled_weights`, and each distinct distance is one ``Weight``.
     """
     check_vertex(g.n, source)
     scale, scaled = _scaled_weights(g)
+    adjacency = g.adjacency
     dist: list[int | None] = [None] * (g.n + 1)  # vertex v at index v
     dist[source] = 0
-    for _ in range(g.n - 1):
-        improved = False
-        for u, out in enumerate(g.adjacency, start=1):
-            base = dist[u]
-            if base is None:
-                continue
-            for v, w in out:
-                candidate = base + scaled[id(w)]
-                old = dist[v]
-                if old is None or candidate < old:
-                    dist[v] = candidate
-                    improved = True
-        if not improved:
-            break
-    return OracleResult(
-        # a list gives tuple() its size (see LabelState.distances)
-        tuple([INFINITY if d is None else Weight(Fraction(d, scale)) for d in dist[1:]])
-    )
+    queued = [False] * (g.n + 1)
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        queued[u] = False
+        base = dist[u]
+        for v, w in adjacency[u - 1]:
+            candidate = base + scaled[id(w)]
+            old = dist[v]
+            if old is None or candidate < old:
+                dist[v] = candidate
+                if not queued[v]:
+                    queued[v] = True
+                    queue.append(v)
+    # dist[0] is None, so INFINITY is always there; a list gives tuple() its
+    # size (see LabelState.distances)
+    weight_of = {d: INFINITY if d is None else Weight(Fraction(d, scale)) for d in set(dist)}
+    return OracleResult(tuple([weight_of[d] for d in dist[1:]]))
 
 
 def enumerate_min_path(

@@ -162,7 +162,7 @@ def _json_row(depth: int, v: int, value: Weight, preds, settled) -> str:
 
 
 # How trace_to_json opens and closes a round's label list; _load_written
-# finds each list by them.
+# finds each list by them and the key that follows it.
 _LABELS_OPEN = '      "labels": ['
 _LABELS_CLOSE = "\n      ]\n    }"
 
@@ -284,8 +284,12 @@ def _load_written(text: str) -> RunTrace | None:
         parts, round_ids, start = [], [], 0
         while (opened := text.find(_LABELS_OPEN, start)) != -1:
             opened += len(_LABELS_OPEN)
-            closed = text.find(_LABELS_CLOSE, opened)
-            if closed == -1:
+            # The list closes just before the next key; searching for a key
+            # skips through the rows, which a needle of spaces cannot.
+            bound = text.find('"round_index"', opened)
+            if bound == -1:
+                bound = text.find('"final_labels"', opened)
+            if bound == -1 or (closed := text.rfind(_LABELS_CLOSE, opened, bound)) == -1:
                 return None
             # Each row without the "\n" or ",\n" before it and its closing
             # brace: no row holds a brace.

@@ -70,7 +70,9 @@ class Weight:
                 f"weight token {token!r} is not INF or a decimal literal"
                 f" of at most {MAX_TOKEN_DIGITS} digits"
             )
-        return cls(Fraction(token))
+        whole, decimals = match.groups("")
+        numerator = int(whole + decimals)
+        return cls(Fraction(-numerator if token[0] == "-" else numerator, 10 ** len(decimals)))
 
     @classmethod
     def from_str(cls, text: str) -> "Weight":

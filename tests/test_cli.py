@@ -17,6 +17,7 @@ from pathlab.graph import MAX_EDGES, MAX_SPARSE_VERTICES, MAX_VERTICES
 from .conftest import fixture_path
 from .test_graph import EDGE_LIST_ERRORS
 from .test_render import GOLDEN_FINAL_TABLE
+from .test_scale import reversed_path_edge_list, reversed_path_outputs
 
 PAPER8 = str(fixture_path("paper8.mat"))
 TORA = str(fixture_path("paper8_tora.mat"))
@@ -255,6 +256,18 @@ class TestOracle:
         result = runner.invoke(main, ["oracle", CX4, "--source", "1"])
         assert result.exit_code == 0
         assert "   3 | 3" in result.stdout
+
+    def test_a_path_against_row_order_runs_in_linear_time(self, runner, tmp_path):
+        # A row-order sweep oracle took about 38 s here; compare runs it too.
+        n = 20_000
+        graph = tmp_path / "reversed.edges"
+        graph.write_text(reversed_path_edge_list(n))
+        start = time.perf_counter()
+        oracle = runner.invoke(main, ["oracle", str(graph), "--source", str(n)])
+        compare = runner.invoke(main, ["compare", str(graph), "--source", str(n)])
+        assert time.perf_counter() - start < 15
+        assert (oracle.stdout, compare.stdout) == reversed_path_outputs(n)
+        assert oracle.exit_code == compare.exit_code == 0
 
     @pytest.mark.parametrize(
         "name, text", [("big.edges", f"{10**9} 0\n"), ("big.mat", "100000\n")]

@@ -6,6 +6,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from math import lcm
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given
@@ -20,6 +21,7 @@ from pathlab import (
     INFINITY,
     MalformedInput,
     NegativeOrZeroWeight,
+    PathlabError,
     SelfLoop,
     VertexOutOfRange,
     Weight,
@@ -31,6 +33,7 @@ from pathlab import (
     run_classic,
     to_matrix_text,
 )
+from pathlab import graph
 from pathlab.graph import MAX_EDGES, MAX_SPARSE_VERTICES, MAX_VERTICES
 
 from .conftest import fixture_path
@@ -75,6 +78,11 @@ EDGE_LIST_ERRORS = [
         "3 2\n1 2 5\n2 3_0 1\n",
         "non-integer vertex in edge line '2 3_0 1'",
         id="underscore_in_a_later_endpoint",
+    ),
+    pytest.param(
+        "2 1\n1 0_2 5\n",
+        "non-integer vertex in edge line '1 0_2 5'",
+        id="underscore_in_an_endpoint_in_range",
     ),
 ]
 
@@ -228,6 +236,89 @@ class TestParseEdgeList:
         parsed = parse_edge_list(text)
         assert parsed == g
         assert validate(parsed.weights) == []
+
+
+# Tokens put in place of one token of an edge line. Each breaks the line, in
+# its syntax or as an edge, or leaves it well formed, and the bulk parse must
+# judge it as the per-line parse does. "" drops the token, "1 2" adds one, and
+# "#" in front turns the line into a comment.
+TOKEN_MUTANTS = [
+    "0", "-1", "+0", "00", "6", "99", "0_1", "\u0661", "x", "|", "1.5", "2.",
+    "INF", "inf", "-2.5", "0.0", "1e2", "1/3", "9" * 31, "", "1 2", "#", "1\u00a02",
+]
+
+
+@st.composite
+def edge_list_texts(draw) -> tuple[Graph, list[str]]:
+    """A drawn graph and the lines of an edge list of it: its edges shuffled,
+    endpoints with a "+" or leading zeros, weights with a "+" or a leading
+    zero, tabs and runs of spaces between tokens, and comment, blank and
+    indented lines anywhere."""
+    g = draw(graphs(max_n=5))
+    edges = draw(st.permutations(list(g.edges())))
+    filler = st.sampled_from(["", "   ", "# a comment", "  # indented 1 2 3", "#1 2 3"])
+
+    def vertex(v: int) -> str:
+        return draw(st.sampled_from([f"{v}", f"+{v}", f"0{v}", f"00{v}"]))
+
+    lines = draw(st.lists(filler, max_size=2)) + [f"{g.n} {len(edges)}"]
+    for u, v, w in edges:
+        weight = draw(st.sampled_from([f"{w}", f"+{w}", f"0{w}"]))
+        space = draw(st.sampled_from([" ", "  ", "\t"]))
+        lines += draw(st.lists(filler, max_size=1)) + [space.join([vertex(u), vertex(v), weight])]
+    return g, lines
+
+
+def _outcome(text: str):
+    try:
+        return parse_edge_list(text)
+    except PathlabError as exc:
+        return type(exc), str(exc)
+
+
+def _per_line_outcome(text: str):
+    with patch.object(graph, "_bulk_graph", return_value=None):
+        return _outcome(text)
+
+
+@given(edge_list_texts(), st.sampled_from(["\n", "\r\n"]))
+def test_the_bulk_parse_equals_the_per_line_parse(drawn, newline):
+    g, lines = drawn
+    text = newline.join(lines) + newline
+    parsed = parse_edge_list(text)
+    assert parsed == _per_line_outcome(text) == g
+    body = [line.strip() for line in lines if line.strip() and not line.strip().startswith("#")]
+    assert graph._bulk_graph(g.n, body[1:]) == g
+    # one Weight per distinct token, and one int per vertex id
+    tokens = {line.split()[2] for line in body[1:]}
+    assert len({id(w) for out in parsed.adjacency for _, w in out}) == len(tokens)
+    heads = [v for out in parsed.adjacency for v, _ in out]
+    assert len({id(v) for v in heads}) == len(set(heads))
+
+
+@given(edge_list_texts(), st.data())
+def test_the_bulk_parse_judges_a_mutated_token_as_the_per_line_parse(drawn, data):
+    # Each token in turn is replaced, by a mutant or by a vertex id, which
+    # can repeat an edge or make a self loop. Then each line's last token
+    # moves to the next edge line, which keeps the body's token count, and
+    # last, the body ends in one token too many.
+    g, lines = drawn
+    replacement = st.one_of(st.sampled_from(TOKEN_MUTANTS), st.integers(1, g.n).map(str))
+    edge_lines = [i for i, line in enumerate(lines) if line.strip() and "#" not in line][1:]
+    for i in edge_lines:
+        for position in range(3):
+            tokens = lines[i].split()
+            tokens[position] = data.draw(replacement)
+            text = "\n".join([*lines[:i], " ".join(tokens), *lines[i + 1 :]]) + "\n"
+            assert _outcome(text) == _per_line_outcome(text)
+    for i, j in zip(edge_lines, edge_lines[1:]):
+        shifted = lines.copy()
+        shifted[i], last = lines[i].rsplit(maxsplit=1)
+        shifted[j] = f"{last} {lines[j]}"
+        text = "\n".join(shifted) + "\n"
+        assert _outcome(text) == _per_line_outcome(text)
+    text = "\n".join(lines) + " 1\n"
+    assert _outcome(text) == _per_line_outcome(text)
 
 
 class TestValidate:

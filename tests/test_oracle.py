@@ -21,6 +21,7 @@ from .strategies import (
     exact_weights,
     graphs,
     recursive_min_path,
+    row_sweep_bellman_ford,
     tied_weights,
     weight_sweep_bellman_ford,
 )
@@ -125,6 +126,26 @@ def test_enumeration_equals_the_recursive_weight_search(g):
 def test_bellman_ford_equals_the_weight_sweep(g, data):
     source = data.draw(st.integers(1, g.n))
     assert bellman_ford(g, source).distances == weight_sweep_bellman_ford(g, source)
+
+
+@given(
+    st.one_of(
+        graphs(max_n=8),
+        graphs(max_n=8, weights=exact_weights),
+        graphs(max_n=8, weights=tied_weights),
+    ),
+    st.data(),
+)
+def test_bellman_ford_equals_the_row_sweep(g, data):
+    source = data.draw(st.integers(1, g.n))
+    assert bellman_ford(g, source).distances == row_sweep_bellman_ford(g, source)
+
+
+def test_bellman_ford_gives_one_weight_per_distinct_distance():
+    g = Graph.from_edges(4, [(1, 2, 1), (1, 3, 1), (2, 4, Fraction(1, 2)), (3, 4, Fraction(1, 2))])
+    distances = bellman_ford(g, 1).distances
+    assert distances == (0, 1, 1, Fraction(3, 2))
+    assert distances[1] is distances[2]
 
 
 def test_bellman_ford_is_exact_across_denominators():

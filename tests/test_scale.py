@@ -39,6 +39,30 @@ def sparse_edge_list(n: int, out_degree: int, seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def reversed_path_edge_list(n: int) -> str:
+    """The path n -> n - 1 -> ... -> 1, weight 1 per edge, listed from n down:
+    from source n, a row-order Bellman-Ford sweep settles one vertex per
+    sweep, n sweeps of O(m) in all."""
+    return f"{n} {n - 1}\n" + "".join(f"{i} {i - 1} 1\n" for i in range(n, 1, -1))
+
+
+def reversed_path_outputs(n: int) -> tuple[str, str]:
+    """What `pathlab oracle` and `pathlab compare` print for
+    :func:`reversed_path_edge_list` from source n."""
+    oracle = "method: bellman-ford\n" + "".join(f"{v:4d} | {n - v}\n" for v in range(1, n + 1))
+    compare = (
+        f"source: {n}\n"
+        "oracle (bellman-ford): " + " ".join(str(n - v) for v in range(1, n + 1)) + "\n"
+        "strategy    | rounds | rounds_incl_source | agrees_oracle\n"
+        + "".join(
+            f"{name:<11} | {n - 1:6d} | {n:18d} | true\n"
+            for name in ("singlemin", "tiebatch", "stablebatch")
+        )
+        + "stable_batch_unsound: false\n"
+    )
+    return oracle, compare
+
+
 def test_ten_thousand_vertices_run_in_memory_linear_in_the_edges():
     text = sparse_edge_list(10_000, 3, seed=10)
     start = time.perf_counter()
@@ -113,6 +137,55 @@ def test_hundred_thousand_vertices_oracle_and_tiebatch_trace(tmp_path):
         f"\nn={n} m={5 * n}: oracle {oracle_s:.1f} s, trace --algo tiebatch {trace_s:.1f} s"
         f" ({trace_bytes / MiB:.0f} MiB of text), peak RSS of either {peak_mib:.0f} MiB"
     )
+
+
+@pytest.mark.scale
+def test_hundred_thousand_vertex_path_against_row_order_oracle_and_compare(tmp_path):
+    n = 100_000
+    graph = tmp_path / "reversed.edges"
+    graph.write_text(reversed_path_edge_list(n))
+    oracle_out, compare_out = tmp_path / "oracle.txt", tmp_path / "compare.txt"
+    start = time.perf_counter()
+    oracle = _run_cli(["oracle", str(graph), "--source", str(n)], oracle_out)
+    oracle_s = time.perf_counter() - start
+    compare = _run_cli(["compare", str(graph), "--source", str(n)], compare_out)
+    compare_s = time.perf_counter() - start - oracle_s
+    assert oracle.returncode == compare.returncode == 0, oracle.stderr + compare.stderr
+    assert (oracle_out.read_text(), compare_out.read_text()) == reversed_path_outputs(n)
+    print(f"\nreversed path, n={n}: oracle {oracle_s:.1f} s, compare {compare_s:.1f} s")
+    assert oracle_s + compare_s < 30
+
+
+@pytest.mark.scale
+def test_the_bulk_parse_peaks_within_a_tenth_of_the_per_line_parse(tmp_path):
+    # Each parse in a fresh child, whose peak RSS is then the parse's own.
+    graph = tmp_path / "scale.edges"
+    graph.write_text(sparse_edge_list(100_000, 5, seed=1))
+    code = (
+        "import resource, sys\n"
+        "from pathlab import graph, parse_edge_list\n"
+        "if sys.argv[2] == 'per-line':\n"
+        "    graph._bulk_graph = lambda n, lines: None\n"
+        "with open(sys.argv[1], encoding='utf-8') as f:\n"
+        "    parse_edge_list(f.read())\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    peak_mib = {
+        path: int(
+            subprocess.run(
+                [sys.executable, "-c", code, str(graph), path],
+                capture_output=True,
+                text=True,
+                check=True,
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+                timeout=600,
+            ).stdout
+        )
+        / 1024
+        for path in ("bulk", "per-line")
+    }
+    print(f"\nparse_edge_list peak RSS: {peak_mib}")
+    assert peak_mib["bulk"] < 1.1 * peak_mib["per-line"]
 
 
 # Differential checks against libraries that share no code with pathlab. Both
