@@ -6,17 +6,16 @@ temporary labels tie, so ``tie_bias`` sweeps from independent uniform weights
 Bellman-Ford oracle, and STABLE_BATCH disagreements are flagged rather than
 raised - unsoundness findings are data here.
 
-Reports are fully deterministic given the specs and seeds: records are
-ordered by (spec, index). :mod:`pathlab.render` writes a report as CSV or
-JSON, leaving out the wall-clock timings the records keep unless asked.
+Reports are exact data: records are ordered by (spec, index) and hold no
+timings, so equal specs and seeds give equal reports. :mod:`pathlab.render`
+writes a report as CSV or JSON.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import MAX_EDGES, MAX_VERTICES, Graph
@@ -101,9 +100,6 @@ class StrategyResult:
     strategy: Strategy
     final_distances: tuple[Weight, ...]
     rounds_count: int
-    # A wall-clock reading, so two runs of the same comparison still compare
-    # equal; render.report_to_json(include_timings=True) serializes it.
-    elapsed_seconds: float = field(compare=False)
     agrees_oracle: bool
 
     @property
@@ -162,16 +158,13 @@ def compare(
     oracle = bellman_ford(g, source)
     results = []
     for strategy in STRATEGY_ORDER:
-        start = time.perf_counter()
         trace = run_strategy(g, source, strategy, target)
-        elapsed = time.perf_counter() - start
         distances = trace.final_distances
         results.append(
             StrategyResult(
                 strategy=strategy,
                 final_distances=distances,
                 rounds_count=trace.rounds_count,
-                elapsed_seconds=elapsed,
                 agrees_oracle=distances == oracle.distances,
             )
         )

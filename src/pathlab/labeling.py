@@ -226,10 +226,13 @@ def relax_step(
     new frontier vertex extends the predecessor set without counting as a
     change. The result does not depend on frontier iteration order: every
     temporary vertex takes the minimum over the whole frontier at once.
-    Raises MalformedInput when the frontier is not a set.
+    Raises MalformedInput when the frontier is not a set, or the labels do
+    not have the graph's n vertices.
     """
     if not isinstance(frontier, (set, frozenset)):
         raise MalformedInput(f"frontier must be a set of vertex ids, got {frontier!r}")
+    if labels.n != g.n:
+        raise MalformedInput(f"the labels have {labels.n} vertices, the graph {g.n}")
     for i in frontier:
         if not labels.is_permanent(check_vertex(g.n, i)):
             raise FrontierNotPermanent(f"frontier vertex {i} is not permanent")

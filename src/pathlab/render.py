@@ -537,15 +537,14 @@ def _index_str(value: int | None) -> str:
     return "" if value is None else str(value)
 
 
-def report_to_json(report: RunReport, include_timings: bool = False) -> str:
+def report_to_json(report: RunReport) -> str:
     """The report as ``json.dumps(document, indent=2) + "\\n"``.
 
     The document has the keys written below, in that order: the config, with
     each spec as its fields; one object per record, with each strategy's
     result under its value; the aggregates per strategy; and the unsound
-    count. Weights and fractions are exact strings. Wall-clock timings are
-    omitted by default so that repeated runs with the same seeds serialize
-    byte-identically.
+    count. Weights and fractions are exact strings, and there are no timings,
+    so equal reports serialize to equal bytes.
     """
     specs = [
         "      "
@@ -554,7 +553,7 @@ def report_to_json(report: RunReport, include_timings: bool = False) -> str:
         )
         for s in report.specs
     ]
-    records = [_json_record(record, include_timings) for record in report.records]
+    records = [_json_record(record) for record in report.records]
     aggregates = [
         f'    "{strategy.value}": {{\n'
         f'      "mean_rounds": "{agg.mean_rounds}",\n'
@@ -579,7 +578,7 @@ def report_to_json(report: RunReport, include_timings: bool = False) -> str:
     )
 
 
-def _json_record(record: ComparisonRecord, include_timings: bool) -> str:
+def _json_record(record: ComparisonRecord) -> str:
     # One element of the document's "records" array, nested two levels deep.
     # No string in it needs escaping: str(Weight) and the strategy values are
     # ASCII digits, letters and "./-".
@@ -588,13 +587,8 @@ def _json_record(record: ComparisonRecord, include_timings: bool) -> str:
         f'          "distances": {_json_strings(result.final_distances, 5)},\n'
         f'          "rounds": {result.rounds_count},\n'
         f'          "rounds_incl_source": {result.rounds_count_incl_source},\n'
-        f'          "agrees_oracle": {_bool_str(result.agrees_oracle)}'
-        + (
-            f',\n          "elapsed_seconds": {json.dumps(result.elapsed_seconds)}'
-            if include_timings
-            else ""
-        )
-        + "\n        }"
+        f'          "agrees_oracle": {_bool_str(result.agrees_oracle)}\n'
+        "        }"
         for result in record.results
     ]
     return (

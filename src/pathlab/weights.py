@@ -17,12 +17,16 @@ from numbers import Rational
 # fractional parts together. It bounds the exact values, and the work of
 # parsing and summing them, that a file can ask for.
 MAX_TOKEN_DIGITS = 30
+# Most digits in a row that a weight string may carry: CPython's default limit
+# on converting a string to an int, which ``Fraction`` applies to each run on
+# the versions that have it. Checking first gives one refusal on every version.
+MAX_STR_DIGITS = 4300
 
 # The graph-file grammar: ASCII digits only, no exponent, no fraction bar.
 _DECIMAL_TOKEN = re.compile(r"[+-]?([0-9]+)(?:\.([0-9]+))?")
 # Everything ``str(Weight)`` writes for a finite weight: a decimal, or a/b for
 # a denominator with a prime factor other than 2 and 5.
-_EXACT_STR = re.compile(r"-?[0-9]+(?:\.[0-9]+|/0*[1-9][0-9]*)?")
+_EXACT_STR = re.compile(r"-?([0-9]+)(?:\.([0-9]+)|/(0*[1-9][0-9]*))?")
 
 
 @functools.total_ordering
@@ -76,14 +80,18 @@ class Weight:
 
     @classmethod
     def from_str(cls, text: str) -> "Weight":
-        """Inverse of ``str``: ``INF``, a decimal literal, or ``a/b``.
+        """Inverse of ``str``: ``INF``, a decimal literal, or ``a/b``, with at
+        most :data:`MAX_STR_DIGITS` digits in a row.
 
         Raises ValueError for anything else.
         """
         if text == "INF":
             return INFINITY
-        if _EXACT_STR.fullmatch(text) is None:
+        match = _EXACT_STR.fullmatch(text)
+        if match is None:
             raise ValueError(f"not a weight string: {text!r}")
+        if max(map(len, match.groups(""))) > MAX_STR_DIGITS:
+            raise ValueError(f"a weight string has more than {MAX_STR_DIGITS} digits in a row")
         return cls(Fraction(text))
 
     @property

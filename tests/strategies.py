@@ -209,20 +209,17 @@ def recursive_min_path(g: Graph, source: int, target: int) -> tuple[Weight, Rout
     return best, Route(best_vertices, best)
 
 
-def reference_report_json(report, include_timings: bool = False) -> str:
+def reference_report_json(report) -> str:
     """The report document built as dicts and lists and written by
     ``json.dumps(document, indent=2)``."""
 
     def result_dict(result) -> dict:
-        d = {
+        return {
             "distances": [str(w) for w in result.final_distances],
             "rounds": result.rounds_count,
             "rounds_incl_source": result.rounds_count_incl_source,
             "agrees_oracle": result.agrees_oracle,
         }
-        if include_timings:
-            d["elapsed_seconds"] = result.elapsed_seconds
-        return d
 
     payload = {
         "config": {

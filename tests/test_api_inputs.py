@@ -137,6 +137,16 @@ def test_a_frontier_that_is_not_a_set_is_refused_by_name(frontier):
         relax_step(GRAPH, init_labels(GRAPH, 1), frontier)
 
 
+@pytest.mark.parametrize("labels_n, graph_n", [(3, 5), (5, 3)])
+def test_labels_of_another_size_are_refused(labels_n, graph_n):
+    # too few rows would index past them, too many would go unrelaxed
+    g = Graph.from_edges(graph_n, [(1, 2, 1), (2, 3, 1)])
+    labels = init_labels(Graph.from_edges(labels_n, []), 1)
+    message = f"^the labels have {labels_n} vertices, the graph {graph_n}$"
+    with pytest.raises(MalformedInput, match=message):
+        relax_step(g, labels, frozenset({1}))
+
+
 @pytest.mark.parametrize(
     "n, adjacency, message",
     [

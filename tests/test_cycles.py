@@ -73,7 +73,7 @@ def _operations(name: str) -> dict:
         "build_tree_matrix": lambda: build_tree_matrix(g, trace),
         "extract_path": lambda: extract_path(tree, target),
         "compare": lambda: compare(g, 1, target),
-        "report_to_json": lambda: report_to_json(report, include_timings=True),
+        "report_to_json": lambda: report_to_json(report),
         "report_to_csv": lambda: report_to_csv(report),
         "to_matrix_text": lambda: to_matrix_text(g),
         "render_trace_text": lambda: render_trace_text(trace),

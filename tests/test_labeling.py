@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import operator
 import tracemalloc
 
 import pytest
@@ -118,6 +119,24 @@ class TestRelaxStep:
         labels = init_labels(paper8, 1)
         with pytest.raises(VertexOutOfRange):
             relax_step(paper8, labels, {9})
+
+
+class TestLabelState:
+    def test_copy_shares_rows_and_keeps_them_when_the_original_settles(self, paper8):
+        labels, changed = relax_step(paper8, init_labels(paper8, 1), {1})
+        before = labels.rows()
+        copy = labels.copy()
+        assert copy == labels
+        assert all(map(operator.is_, copy.rows(), before))
+        assert select_permanent(labels, Strategy.SINGLE_MIN, changed) == {2}
+        assert labels.is_permanent(2) and not copy.is_permanent(2)
+        assert all(map(operator.is_, copy.rows(), before))
+
+    def test_repr_lists_each_row(self):
+        labels = labels_with_temporaries(3, {2: 4})
+        assert repr(labels) == (
+            "<LabelState 1:[0,[],permanent], 2:[4,[1],temporary], 3:[INF,[],temporary]>"
+        )
 
 
 def labels_with_temporaries(n: int, values: dict[int, int]) -> LabelState:

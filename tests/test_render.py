@@ -332,6 +332,11 @@ MALFORMED_DOCUMENTS = {
     "numeric_value": lambda doc: _with_rows(doc, lambda row: {**row, "value": 3}),
     "exponent_value": lambda doc: _with_rows(doc, lambda row: {**row, "value": "1e5"}),
     "zero_denominator": lambda doc: _with_rows(doc, lambda row: {**row, "value": "1/0"}),
+    # one digit past CPython's default int-string limit, in either part
+    "long_whole_part": lambda doc: _with_rows(doc, lambda row: {**row, "value": "1" * 4301}),
+    "long_denominator": lambda doc: _with_rows(
+        doc, lambda row: {**row, "value": "1/" + "3" * 4301}
+    ),
     "string_settled_round": lambda doc: _with_rows(doc, lambda row: {**row, "settled_round": "1"}),
     "vertices_out_of_order": lambda doc: {**doc, "final_labels": doc["final_labels"][::-1]},
     "short_round_labels": lambda doc: {
@@ -537,6 +542,8 @@ MALFORMED_MESSAGES = {
     "kept_value_drops_a_predecessor":
         "round 3 changes vertex 5's predecessors outside its frontier",
     "list_document": "list indices must be integers or slices, not str",
+    "long_denominator": "a weight string has more than 4300 digits in a row",
+    "long_whole_part": "a weight string has more than 4300 digits in a row",
     "missing_row_key": "missing key 'status'",
     "missing_top_key": "missing key 'rounds'",
     "newly_permanent_not_final_round": "round 2's settled rounds disagree with the final ones",
@@ -651,6 +658,24 @@ def test_a_written_layout_that_writes_back_otherwise_is_decoded_whole(paper8, mo
     monkeypatch.setattr(json, "loads", lambda s: decoded.append(s) or loads(s))
     assert trace_from_json(text) == trace
     assert len(decoded) == 2 and decoded[1] is text
+
+
+@pytest.mark.parametrize("change, message", [
+    # round 2's label list a row shorter than round 1's
+    (lambda doc: _with_round(doc, 1, labels=doc["rounds"][1]["labels"][:-1]),
+     "a label list has 7 rows, expected 8"),
+    # the last round's label list followed by no "final_labels" key
+    (lambda doc: _without(doc, "final_labels"), "missing key 'final_labels'"),
+], ids=["round_of_another_row_count", "no_key_after_the_labels"])
+def test_a_written_layout_the_row_walk_cannot_cut_is_decoded_whole_once(
+    paper8, monkeypatch, change, message
+):
+    text = json.dumps(change(_paper8_document(paper8)), indent=2) + "\n"
+    loads, decoded = json.loads, []
+    monkeypatch.setattr(json, "loads", lambda s: decoded.append(s) or loads(s))
+    with pytest.raises(MalformedInput, match=f"^malformed trace: {message}$"):
+        trace_from_json(text)
+    assert len(decoded) == 1 and decoded[0] is text
 
 
 def test_the_first_faulty_round_is_reported(paper8):

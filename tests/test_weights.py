@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pathlab import INFINITY, Weight
+from pathlab.weights import MAX_STR_DIGITS
 
 
 def test_finite_sum():
@@ -123,6 +124,23 @@ def test_from_str_rejects_what_str_never_writes():
     for text in ["inf", "1e5", "1/0", "1/-3", " 1", "1_0", "\u0661", "", "1.", "nan"]:
         with pytest.raises(ValueError):
             Weight.from_str(text)
+
+
+def test_from_str_reads_runs_of_at_most_max_str_digits():
+    # a longer run gets one message on every version, with or without
+    # CPython's int-string limit, before Fraction reads it
+    run = "7" * MAX_STR_DIGITS
+    for text in [run, f"-{run}.{run}", f"1/{run}"]:
+        assert Weight.from_str(text).fraction == Fraction(text)
+    message = f"^a weight string has more than {MAX_STR_DIGITS} digits in a row$"
+    for text in [run + "7", f"1.{run}7", f"1/{run}7", f"1/0{run}"]:
+        with pytest.raises(ValueError, match=message):
+            Weight.from_str(text)
+
+
+def test_repr():
+    assert repr(Weight.finite(Fraction(7, 2))) == "Weight(7/2)"
+    assert repr(INFINITY) == "INFINITY"
 
 
 def test_infinity_has_no_fraction():
