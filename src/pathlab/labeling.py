@@ -33,11 +33,13 @@ settling round is set, so its status and the next round's index are derived,
 not stored. A change replaces the vertex's row, never mutates it, so a round
 is recorded as its changes: the ``(vertex, row)`` pairs of the vertices it
 improved, extended or settled, each a new row that differs from the one
-before. A run costs O(n + m log m) for relaxation and selection, and its
-trace holds O(n + changes) rows: the initial labels, shared by every round,
-and one pair per change. A round's ``label_snapshot`` is not stored; it is
-replayed on access from the initial labels through the changes so far, in
-O(n + changes).
+before. The engine only logs the rows it writes; a trace's ``rounds`` builds
+its records from the log on first read. A run costs O(n + m log m) for
+relaxation and selection and O(writes) for the log, all that a caller pays
+who never reads a record; the records hold O(n + changes) rows: the initial
+labels, shared by every round, and one pair per change. A round's
+``label_snapshot`` is replayed on access from the initial labels through the
+changes so far, in O(n + changes).
 
 :func:`relax_step` and :func:`select_permanent` perform one relax and one
 select move over a whole ``LabelState``; they are the straightforward
@@ -47,6 +49,7 @@ reference the engine is tested against.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -175,12 +178,54 @@ class RoundRecord:
         return LabelState(rows)
 
 
+class _RoundLog(Sequence):
+    """A run's rounds as the engine logs them: each row written, ``vertex,
+    row`` in turn, and the log's length at each round's end. Reads as the
+    tuple of :class:`RoundRecord` it stands for, built on the first read of a
+    record and kept; ``len`` builds nothing. A round's changes are each
+    vertex's last row in it, its batch the rows it settled, and its frontier
+    the batch before (the source for round 1)."""
+
+    __slots__ = ("_log", "_ends", "_initial", "_source", "_records")
+
+    def __init__(self, log: list, ends: list[int], initial: LabelState, source: int):
+        self._log, self._ends, self._initial, self._source = log, ends, initial, source
+        self._records: tuple[RoundRecord, ...] | None = None
+
+    def __getitem__(self, index):
+        if self._records is None:
+            log, records, start = self._log, [], 0
+            record, frontier = self._initial, frozenset((self._source,))
+            for k, end in enumerate(self._ends, start=1):
+                last = dict(zip(log[start:end:2], log[start + 1 : end : 2]))
+                changes = tuple(sorted(last.items()))  # distinct vertices: no row compared
+                newly = frozenset([v for v, row in changes if row[2] is not None])
+                record = RoundRecord(k, frontier, changes, newly, record)
+                records.append(record)
+                frontier, start = newly, end
+            self._records, self._log = tuple(records), None
+        return self._records[index]
+
+    def __len__(self) -> int:
+        return len(self._ends)
+
+    def __iter__(self):
+        return iter(self[:])
+
+    def __eq__(self, other) -> bool:
+        return self[:] == tuple(other) if isinstance(other, (tuple, _RoundLog)) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self[:])
+
+
 @dataclass(frozen=True)
 class RunTrace:
     """Complete record of one labeling run.
 
     The algorithm, the round counts and the final distances are derived from
-    the stored fields. ``rounds_count`` counts relax+select repetitions after
+    the stored fields; ``rounds`` holds :class:`RoundRecord`s, for a run built
+    on first read. ``rounds_count`` counts relax+select repetitions after
     source initialization; ``rounds_count_incl_source`` adds one for the
     initialization step, matching tools that display it as a first iteration.
     """
@@ -188,7 +233,7 @@ class RunTrace:
     strategy: Strategy
     source: int
     target: int | None
-    rounds: tuple[RoundRecord, ...]
+    rounds: Sequence[RoundRecord]
     final_labels: LabelState
     terminated_early: bool
 
@@ -226,11 +271,13 @@ def relax_step(
     new frontier vertex extends the predecessor set without counting as a
     change. The result does not depend on frontier iteration order: every
     temporary vertex takes the minimum over the whole frontier at once.
-    Raises MalformedInput when the frontier is not a set, or the labels do
-    not have the graph's n vertices.
+    Raises MalformedInput when the frontier is not a set, or the labels are
+    not a LabelState of the graph's n vertices.
     """
     if not isinstance(frontier, (set, frozenset)):
         raise MalformedInput(f"frontier must be a set of vertex ids, got {frontier!r}")
+    if not isinstance(labels, LabelState):
+        raise MalformedInput(f"labels must be a LabelState, got {labels!r}")
     if labels.n != g.n:
         raise MalformedInput(f"the labels have {labels.n} vertices, the graph {g.n}")
     for i in frontier:
@@ -275,8 +322,11 @@ def select_permanent(
     vertex at m plus each finite temporary vertex absent from ``changed``.
     Returns the settled set; empty (and no mutation) when no temporary label
     is finite, which signals exhaustion to the caller. The batch's round is
-    one past the highest settling round so far.
+    one past the highest settling round so far. Raises MalformedInput unless
+    ``labels`` is a LabelState.
     """
+    if not isinstance(labels, LabelState):
+        raise MalformedInput(f"labels must be a LabelState, got {labels!r}")
     rows = labels.rows()
     finite = [
         (w, v) for v, (w, _, r) in enumerate(rows, start=1) if r is None and w.is_finite
@@ -347,18 +397,16 @@ def _run(
     finite_temporary: set[int] = set()
     batching = strategy is not Strategy.SINGLE_MIN
     unsettled = g.n - 1
-    rounds: list[RoundRecord] = []
-    record: RoundRecord | LabelState = initial
-    frontier: frozenset[int] = frozenset({source})
+    # each row written, ``vertex, row`` in turn, and each round's end in it
+    log, ends = [], []
+    write = log.append
+    frontier = {source}
     terminated_early = False
     while unsettled:
         if stop_at_target and target is not None and rows[target - 1][2] is not None:
             terminated_early = True
             break
-        # improved (``changed``) and extended vertices: with the batch, the
-        # rows this round replaces
-        changed = set()
-        extended = set()
+        changed = set()  # the improved vertices
         for u in frontier:
             base = exact[u - 1]
             # one predecessor set per frontier vertex, shared by its rows
@@ -376,12 +424,15 @@ def _run(
                     value = weight_of.get(candidate)
                     if value is None:
                         value = weight_of[candidate] = Weight(Fraction(candidate, scale))
-                    rows[v - 1] = (value, only_u, None)
+                    rows[v - 1] = row = (value, only_u, None)
                     heappush(heap, candidate * width + v)
                     changed.add(v)
+                    write(v)
+                    write(row)
                 elif candidate == old:
-                    rows[v - 1] = (row[0], row[1] | only_u, None)
-                    extended.add(v)
+                    rows[v - 1] = row = (row[0], row[1] | only_u, None)
+                    write(v)
+                    write(row)
         # Select the first current entry (its vertex temporary at the entry's
         # value), and when batching every one tied with it, below ``bound``,
         # dropping the rest. None is current when no temporary label is
@@ -396,22 +447,21 @@ def _run(
             break
         if strategy is Strategy.STABLE_BATCH:
             newly |= finite_temporary - changed
-        round_index = len(rounds) + 1
+        round_index = len(ends) + 1
         for v in newly:
             value, preds, _ = rows[v - 1]
-            rows[v - 1] = (value, preds, round_index)
+            rows[v - 1] = row = (value, preds, round_index)
+            write(v)
+            write(row)
+        ends.append(len(log))
         finite_temporary -= newly
         unsettled -= len(newly)
-        changes = tuple([(v, rows[v - 1]) for v in sorted(changed.union(extended, newly))])
-        newly = frozenset(newly)
-        record = RoundRecord(round_index, frontier, changes, newly, record)
-        rounds.append(record)
         frontier = newly
     return RunTrace(
         strategy=strategy,
         source=source,
         target=target,
-        rounds=tuple(rounds),
+        rounds=_RoundLog(log, ends, initial, source),
         final_labels=LabelState(rows),
         terminated_early=terminated_early,
     )

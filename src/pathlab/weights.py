@@ -169,8 +169,8 @@ def _coerce(value) -> Weight:
 
 
 def _decimal_str(q: Fraction) -> str:
-    # Exact decimal expansion when the denominator divides a power of ten,
-    # fraction notation otherwise (cannot occur for parsed decimal input).
+    # Exact decimal expansion when the denominator divides a power of ten and
+    # at most MAX_STR_DIGITS places (what ``from_str`` reads), a/b otherwise.
     num, den = q.numerator, q.denominator
     if den == 1:
         return str(num)
@@ -182,9 +182,9 @@ def _decimal_str(q: Fraction) -> str:
     while d % 5 == 0:
         d //= 5
         fives += 1
-    if d != 1:
-        return f"{num}/{den}"
     k = max(twos, fives)
+    if d != 1 or k > MAX_STR_DIGITS:
+        return f"{num}/{den}"
     scaled = num * 10**k // den
     sign = "-" if scaled < 0 else ""
     digits = str(abs(scaled)).rjust(k + 1, "0")

@@ -27,6 +27,7 @@ from pathlab import (
     run_classic,
     run_modified,
     run_suite,
+    select_permanent,
 )
 from pathlab.bench import GraphSpec
 
@@ -145,6 +146,16 @@ def test_labels_of_another_size_are_refused(labels_n, graph_n):
     message = f"^the labels have {labels_n} vertices, the graph {graph_n}$"
     with pytest.raises(MalformedInput, match=message):
         relax_step(g, labels, frozenset({1}))
+
+
+@pytest.mark.parametrize("labels", [None, 5, [(0, frozenset(), 0)]], ids=repr)
+def test_labels_that_are_not_a_label_state_are_refused_by_name(labels):
+    # each would otherwise leak the AttributeError of its first attribute read
+    message = f"^labels must be a LabelState, got {re.escape(repr(labels))}$"
+    with pytest.raises(MalformedInput, match=message):
+        relax_step(GRAPH, labels, frozenset())
+    with pytest.raises(MalformedInput, match=message):
+        select_permanent(labels, Strategy.TIE_BATCH, frozenset())
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import pytest
 from pathlab import (
     FrontierNotPermanent,
     Graph,
+    GraphSpec,
     GraphTooLarge,
     INFINITY,
     LabelState,
@@ -15,16 +16,20 @@ from pathlab import (
     VertexOutOfRange,
     Weight,
     bellman_ford,
+    build_tree_matrix,
+    compare,
     enumerate_min_path,
+    extract_path,
     init_labels,
     parse_edge_list,
     parse_matrix_text,
     relax_step,
     run_classic,
     run_modified,
+    run_suite,
     select_permanent,
 )
-from pathlab import render
+from pathlab import labeling, render
 from pathlab.bench import run_strategy
 from pathlab.graph import MAX_VERTICES
 
@@ -414,3 +419,49 @@ class TestRowSharing:
             for old, new in zip(before.rows(), after.rows()):
                 # an improvement, an extension or a settle writes a new row
                 assert (old is new) is (old == new)
+
+
+def _refuse_record(*args):
+    raise RuntimeError("a round record was built")
+
+
+class TestRoundsBuiltOnFirstRead:
+    def test_counts_comparisons_and_routes_build_no_record(self, monkeypatch, paper8_tora):
+        # compare, bench and path read only the round counts and the final
+        # labels, so a run must not build its round records for them
+        g = paper8_tora
+        specs = [GraphSpec(6, 0.6, 1, 3, 0.5, 7), GraphSpec(5, 1.0, 1, 1, 1.0, 2)]
+        counts = [run_strategy(g, 1, strategy).rounds_count for strategy in Strategy]
+        expected = (
+            compare(g, 1, 8),
+            run_suite(specs, 3),
+            extract_path(build_tree_matrix(g, run_classic(g, 1)), 8),
+        )
+        monkeypatch.setattr(labeling, "RoundRecord", _refuse_record)
+        assert [run_strategy(g, 1, strategy).rounds_count for strategy in Strategy] == counts
+        for strategy in Strategy:
+            trace = run_strategy(g, 1, strategy)
+            assert len(trace.rounds) == trace.rounds_count_incl_source - 1 > 0
+        assert (
+            compare(g, 1, 8),
+            run_suite(specs, 3),
+            extract_path(build_tree_matrix(g, run_classic(g, 1)), 8),
+        ) == expected
+        # the stub is what a first read of a record calls
+        with pytest.raises(RuntimeError, match="^a round record was built$"):
+            run_classic(g, 1).rounds[0]
+
+    def test_a_read_builds_the_records_once_and_drops_the_log(self, paper8):
+        trace = run_modified(paper8, 1, strategy=Strategy.TIE_BATCH)
+        first = trace.rounds[0]
+        assert trace.rounds[0] is first
+        assert tuple(trace.rounds) == trace.rounds[:] == trace.rounds
+        assert list(reversed(trace.rounds)) == list(trace.rounds)[::-1]
+        assert trace.rounds.index(first) == 0 and first in trace.rounds
+        assert trace.rounds._log is None
+        # they compare as the tuple of records would
+        other = run_modified(paper8, 2, strategy=Strategy.TIE_BATCH)
+        assert other.rounds == run_modified(paper8, 2, strategy=Strategy.TIE_BATCH).rounds
+        assert other.rounds != trace.rounds and trace.rounds != other.rounds
+        assert trace.rounds != trace.rounds[:-1] and trace.rounds[1:] != trace.rounds
+        assert trace.rounds != list(trace.rounds) and other.rounds != ()

@@ -247,6 +247,38 @@ def test_changes_are_the_rows_that_differ_from_the_round_before(strategy, stop_a
         assert all(final[v - 1] is row for v, row in latest.items())
 
 
+@pytest.mark.parametrize("stop_at_target", [False, True])
+@pytest.mark.parametrize("strategy", list(Strategy))
+@given(
+    graphs(max_n=8)
+    | graphs(max_n=8, weights=exact_weights)
+    | graphs(max_n=8, weights=tied_weights),
+    st.data(),
+)
+@settings(max_examples=40)
+def test_rounds_built_on_first_read_are_the_run_records(strategy, stop_at_target, g, data):
+    source = data.draw(st.integers(1, g.n))
+    target = data.draw(st.none() | st.integers(1, g.n))
+    trace = run_strategy(g, source, strategy, target, stop_at_target)
+    fresh = run_strategy(g, source, strategy, target, stop_at_target)
+    count = trace.rounds_count
+    # a round trip in which the writer is the first to read the rounds, and
+    # the comparison the first to read ``trace``'s
+    assert trace_from_json(trace_to_json(fresh)) == trace
+    assert len(trace.rounds) == count
+    records = list(trace.rounds)
+    assert all(a is b for a, b in zip(records, trace.rounds, strict=True))
+    for record in records:
+        vertices = [v for v, _ in record.changes]
+        assert vertices == sorted(set(vertices))
+        snapshot = record.label_snapshot
+        rounds = enumerate(map(snapshot.settled_round, snapshot.vertices()), start=1)
+        assert record.newly_permanent == {v for v, k in rounds if k == record.round_index}
+    loaded = trace_from_json(trace_to_json(trace))
+    assert loaded == trace and trace == loaded
+    assert repr(loaded) == repr(trace)
+
+
 @pytest.mark.parametrize("strategy", list(Strategy))
 @given(graphs(max_n=8) | graphs(max_n=8, weights=exact_weights), st.data())
 def test_a_run_records_at_most_one_change_per_settle_and_per_edge(strategy, g, data):

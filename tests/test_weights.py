@@ -138,6 +138,16 @@ def test_from_str_reads_runs_of_at_most_max_str_digits():
             Weight.from_str(text)
 
 
+def test_str_writes_a_long_expansion_as_a_fraction_that_from_str_reads():
+    # 1/2**4301 has 4,301 decimal places; 1/2**4300, at the cap, keeps them
+    long, capped = Weight(Fraction(1, 2**4301)), Weight(Fraction(1, 2**MAX_STR_DIGITS))
+    assert str(long) == f"1/{2**4301}"
+    assert Weight.from_str(str(long)) == long
+    assert str(capped).startswith("0.") and len(str(capped)) == 2 + MAX_STR_DIGITS
+    assert Weight.from_str(str(capped)) == capped
+    assert str(Weight(Fraction(-3, 5**4301))) == f"-3/{5**4301}"
+
+
 def test_repr():
     assert repr(Weight.finite(Fraction(7, 2))) == "Weight(7/2)"
     assert repr(INFINITY) == "INFINITY"
